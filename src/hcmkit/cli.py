@@ -19,8 +19,8 @@ import math
 import os
 import sys
 
-from . import buckling, config, core, oracle, postbuckle, snapdyn, svgplot, swim
-from .errors import ConfigError, HcmError, NotBistable
+from . import config, core, oracle, postbuckle, snapdyn, svgplot, swim
+from .errors import ConfigError, HcmError
 
 __all__ = ["main"]
 
@@ -31,7 +31,7 @@ SWIM_HEADER = "time_s,v_m_s"
 MAX_SNAP_ROWS = 2400
 MAX_SWIM_ROWS = 240
 CRUISE_T = 10.0
-CRUISE_STEPS = 2000
+MAX_SWEEP_CELLS = 100_000
 
 
 def _round12(obj):
@@ -50,15 +50,35 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(_round12(obj), indent=2) + "\n")
 
 
-def _write_rows(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write(out_dir, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 def _fnum(x) -> str:
     return repr(float(x))
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "" if v is None else _fnum(v)
+
+
+def _finite(text: str) -> float:
+    """argparse type: a float flag that refuses inf and nan."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return val
 
 
 def _require_config(args) -> config.ParsedConfig:
@@ -73,15 +93,22 @@ def _load_calibration(args):
     return postbuckle.load_calibration()
 
 
-def _effective_calibration(calib):
+def _analyze(cfg: config.ParsedConfig, calib, geom=None) -> postbuckle.HcmAnalysis:
+    """postbuckle.analyze of the config's design, or of geom in its place."""
     # With no calibration on file the raw (scale-free) integral is reported.
     if calib is None:
-        return postbuckle.Calibration(C_psi=1.0, anchor_id="uncalibrated", created="")
-    return calib
+        calib = postbuckle.Calibration(C_psi=1.0, anchor_id="uncalibrated", created="")
+    return postbuckle.analyze(
+        cfg.geom if geom is None else geom,
+        cfg.mat,
+        calib,
+        n_grid=cfg.options.n_grid,
+        corrected_torsion=cfg.options.corrected_torsion,
+    )
 
 
-def _analysis_record(cfg: config.ParsedConfig, calib, n_grid: int) -> dict:
-    geom, mat = cfg.geom, cfg.mat
+def _analysis_record(cfg: config.ParsedConfig, calib, geom=None) -> dict:
+    geom = cfg.geom if geom is None else geom
     margin = core.bistability_margin(geom)
     record = {
         "psi_l_deg": None,
@@ -89,25 +116,18 @@ def _analysis_record(cfg: config.ParsedConfig, calib, n_grid: int) -> dict:
         "P_cr_N": None,
         "U_barr_J": None,
         "U_barr_unitless": None,
-        "t_star_ms": snapdyn.snap_timescale(geom, mat) * 1e3,
+        "t_star_ms": snapdyn.snap_timescale(geom, cfg.mat) * 1e3,
         "bistable": bool(margin["bistable"]),
         "beta_deg": math.degrees(margin["beta"]),
     }
     if margin["bistable"]:
-        res = postbuckle.analyze(
-            geom,
-            mat,
-            _effective_calibration(calib),
-            n_grid=n_grid,
-            corrected_torsion=cfg.options.corrected_torsion,
-        )
+        res = _analyze(cfg, calib, geom)
         record.update(
             psi_l_deg=math.degrees(res.psi_l),
             psi_eq_deg=math.degrees(res.psi_eq),
             P_cr_N=res.P_cr,
             U_barr_J=res.U_barr,
             U_barr_unitless=res.U_barr_unitless,
-            t_star_ms=res.t_star * 1e3,
         )
     return record
 
@@ -136,24 +156,11 @@ def _calibration_echo(calib) -> dict:
 def cmd_analyze(args) -> int:
     cfg = _require_config(args)
     calib = _load_calibration(args)
-    record = _analysis_record(cfg, calib, cfg.options.n_grid)
-    out = dict(record)
-    out["input"] = _input_echo(cfg)
-    out["calibration"] = _calibration_echo(calib)
+    record = _analysis_record(cfg, calib)
     if args.format == "csv":
-        keys = list(record.keys())
-        vals = []
-        for k in keys:
-            v = record[k]
-            if v is None:
-                vals.append("")
-            elif isinstance(v, bool):
-                vals.append("true" if v else "false")
-            else:
-                vals.append(_fnum(v))
-        sys.stdout.write(",".join(keys) + "\n" + ",".join(vals) + "\n")
+        sys.stdout.write(_csv(",".join(record), [map(_cell, record.values())]))
     else:
-        _emit_json(out)
+        _emit_json({**record, "input": _input_echo(cfg), "calibration": _calibration_echo(calib)})
     return 0
 
 
@@ -165,12 +172,16 @@ def _parse_range(spec: str, name: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--{name} has a non-numeric part in {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"--{name} has a non-finite part in {spec!r}")
     if step <= 0:
         raise ConfigError(f"--{name} step must be positive")
     if hi < lo:
         raise ConfigError(f"--{name} max is below min")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + i * step, 10) for i in range(count)]
+    span = (hi - lo) / step + 1e-9  # inf when hi - lo overflows
+    if span >= MAX_SWEEP_CELLS:
+        raise ConfigError(f"--{name} spans more than {MAX_SWEEP_CELLS} values")
+    return [round(lo + i * step, 10) for i in range(int(math.floor(span)) + 1)]
 
 
 def cmd_sweep(args) -> int:
@@ -178,7 +189,8 @@ def cmd_sweep(args) -> int:
     calib = _load_calibration(args)
     thetas = _parse_range(args.theta, "theta")
     gammas = _parse_range(args.gamma, "gamma")
-    eff = _effective_calibration(calib)
+    if len(thetas) * len(gammas) > MAX_SWEEP_CELLS:
+        raise ConfigError(f"--theta by --gamma spans more than {MAX_SWEEP_CELLS} cells")
     rows = []
     for theta_deg in thetas:
         for gamma_s in gammas:
@@ -189,29 +201,10 @@ def cmd_sweep(args) -> int:
                 h=cfg.geom.h,
                 t=cfg.geom.t,
             )
-            t_star_ms = snapdyn.snap_timescale(geom, cfg.mat) * 1e3
-            margin = core.bistability_margin(geom)
-            if margin["bistable"]:
-                res = postbuckle.analyze(
-                    geom,
-                    cfg.mat,
-                    eff,
-                    n_grid=cfg.options.n_grid,
-                    corrected_torsion=cfg.options.corrected_torsion,
-                )
-                psi_cell = _fnum(math.degrees(res.psi_l))
-                barr_cell = _fnum(res.U_barr_unitless)
-                flag = "true"
-            else:
-                psi_cell = ""
-                barr_cell = ""
-                flag = "false"
-            rows.append(
-                [_fnum(theta_deg), _fnum(gamma_s), psi_cell, barr_cell, _fnum(t_star_ms), flag]
-            )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep.csv")
-    _write_rows(path, SWEEP_HEADER, rows)
+            rec = _analysis_record(cfg, calib, geom)
+            keys = ("psi_l_deg", "U_barr_unitless", "t_star_ms", "bistable")
+            rows.append([_cell(v) for v in (theta_deg, gamma_s, *(rec[k] for k in keys))])
+    _write(args.out, "sweep.csv", _csv(SWEEP_HEADER, rows))
     _emit_json({"written": ["sweep.csv"], "rows": len(rows)})
     return 0
 
@@ -223,19 +216,12 @@ def _decimate(n: int, max_rows: int) -> int:
 def cmd_snap(args) -> int:
     cfg = _require_config(args)
     calib = _load_calibration(args)
-    geom, mat = cfg.geom, cfg.mat
     zeta = cfg.options.damping[args.medium]
-    res = postbuckle.analyze(
-        geom,
-        mat,
-        _effective_calibration(calib),
-        n_grid=cfg.options.n_grid,
-        corrected_torsion=cfg.options.corrected_torsion,
-    )
+    res = _analyze(cfg, calib)
     well = snapdyn.DoubleWell(
         U_barr=res.U_barr,
         psi_eq=res.psi_eq,
-        I_eff=snapdyn.effective_inertia(geom, mat),
+        I_eff=snapdyn.effective_inertia(cfg.geom, cfg.mat),
         zeta=zeta,
     )
     trace = snapdyn.triggered_snap(well)
@@ -251,9 +237,8 @@ def cmd_snap(args) -> int:
         ]
         for i in range(0, len(trace.time), stride)
     ]
-    os.makedirs(args.out, exist_ok=True)
     name = f"snap_{args.medium}.csv"
-    _write_rows(os.path.join(args.out, name), SNAP_HEADER, rows)
+    _write(args.out, name, _csv(SNAP_HEADER, rows))
     _emit_json(
         {
             "medium": args.medium,
@@ -267,27 +252,17 @@ def cmd_snap(args) -> int:
     return 0
 
 
-def _require_hydro(cfg: config.ParsedConfig) -> config.HydroBlock:
-    if cfg.hydro is None:
+def _hydro_fit(cfg: config.ParsedConfig) -> swim.HydroFit:
+    hyd = cfg.hydro
+    if hyd is None:
         raise ConfigError("this command needs a hydro block in the config")
-    return cfg.hydro
-
-
-def _fit_from_config(hyd: config.HydroBlock) -> swim.HydroFit:
-    kwargs = {}
-    if hyd.k_drag is not None:
-        kwargs["k_drag"] = hyd.k_drag
-    return swim.fit_hydro(hyd.reference_waveform, hyd.reference_speed, hyd.mass, **kwargs)
+    if hyd.reference_waveform is None:
+        raise ConfigError("this command needs hydro.reference in the config")
+    return swim.fit_hydro(hyd.reference_waveform, hyd.reference_speed, hyd.mass, hyd.k_drag)
 
 
 def _bistable_waveform(cfg, calib, frequency: float) -> swim.Waveform:
-    res = postbuckle.analyze(
-        cfg.geom,
-        cfg.mat,
-        _effective_calibration(calib),
-        n_grid=cfg.options.n_grid,
-        corrected_torsion=cfg.options.corrected_torsion,
-    )
+    res = _analyze(cfg, calib)
     snap_time = cfg.snap_time_override if cfg.snap_time_override is not None else res.t_star
     return swim.Waveform(
         kind="bistable", amplitude=res.psi_eq, frequency=frequency, snap_time=snap_time
@@ -296,16 +271,13 @@ def _bistable_waveform(cfg, calib, frequency: float) -> swim.Waveform:
 
 def cmd_swim(args) -> int:
     if args.fig6:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "fig6.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(swim.fig6_to_csv(swim.fig6_rows()))
+        _write(args.out, "fig6.csv", swim.fig6_to_csv(swim.fig6_rows()))
         _emit_json({"written": ["fig6.csv"]})
         return 0
 
     cfg = _require_config(args)
-    hyd = _require_hydro(cfg)
-    fit = _fit_from_config(hyd)
+    fit = _hydro_fit(cfg)
+    hyd = cfg.hydro
     ref = hyd.reference_waveform
     freq = args.frequency_hz if args.frequency_hz is not None else ref.frequency
     calib = _load_calibration(args)
@@ -315,8 +287,8 @@ def cmd_swim(args) -> int:
         bist = _bistable_waveform(cfg, calib, freq)
         msr_s = swim.mean_square_tip_rate(sine)
         msr_b = swim.mean_square_tip_rate(bist)
-        v_s = math.sqrt(fit.k_thrust * msr_s / fit.k_drag)
-        v_b = math.sqrt(fit.k_thrust * msr_b / fit.k_drag)
+        v_s = swim.steady_speed(fit, msr_s)
+        v_b = swim.steady_speed(fit, msr_b)
         _emit_json(
             {
                 "frequency_hz": freq,
@@ -350,9 +322,8 @@ def cmd_swim(args) -> int:
         [_fnum(result.time[i]), _fnum(result.v_trace[i])]
         for i in range(0, len(result.time), stride)
     ]
-    os.makedirs(args.out, exist_ok=True)
     name = f"swim_{args.waveform}.csv"
-    _write_rows(os.path.join(args.out, name), SWIM_HEADER, rows)
+    _write(args.out, name, _csv(SWIM_HEADER, rows))
     _emit_json(
         {
             "waveform": args.waveform,
@@ -371,26 +342,17 @@ def cmd_oracle(args) -> int:
     cfg = _require_config(args)
     geom, mat = cfg.geom, cfg.mat
     n_links = args.n_links if args.n_links is not None else cfg.options.n_links
-    report = oracle.oracle_report(geom, mat, n_links=n_links)
-
     if args.format == "csv":
         ribbon = oracle.build_discrete(geom, mat, n_links=n_links)
-        state = oracle.find_equilibrium(ribbon, side="plus")
-        sys.stdout.write(oracle.nodes_to_csv(state))
+        sys.stdout.write(oracle.nodes_to_csv(oracle.find_equilibrium(ribbon, side="plus")))
         return 0
 
+    report = oracle.oracle_report(geom, mat, n_links=n_links)
     # Beam-model comparison values at the same design point.
-    margin = core.bistability_margin(geom)
-    if margin["bistable"]:
-        calib = _load_calibration(args)
-        mode = buckling.critical_load(
-            geom, mat, n_grid=cfg.options.n_grid, corrected_torsion=cfg.options.corrected_torsion
-        )
-        eff = _effective_calibration(calib)
-        psi_beam = postbuckle.tip_angle(geom, mat, mode, eff)
-        barrier_beam = postbuckle.energy_barrier(geom, mat, mode.P_cr)["U_barr"]
-        barr_err = report.barrier / barrier_beam - 1.0
-        psi_err = report.psi_tip / psi_beam - 1.0
+    if core.bistability_margin(geom)["bistable"]:
+        beam = _analyze(cfg, _load_calibration(args))
+        barr_err = report.barrier / beam.U_barr - 1.0
+        psi_err = report.psi_tip / beam.psi_l - 1.0
     else:
         barr_err = None
         psi_err = None
@@ -469,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swim", parents=[common], help="cruise speed from tail kinematics")
     p.add_argument("--waveform", choices=("sinusoid", "bistable"), default="bistable")
-    p.add_argument("--frequency-hz", type=float, default=None)
+    p.add_argument("--frequency-hz", type=_finite, default=None)
     p.add_argument("--compare", action="store_true", help="sinusoid vs bistable at one frequency")
     p.add_argument("--fig6", action="store_true", help="write the speed comparison table")
 
@@ -477,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-links", type=int, default=None)
 
     p = sub.add_parser("calibrate", parents=[common], help="fit the tip-angle scale to an anchor")
-    p.add_argument("--psi-l-deg", type=float, required=True, help="measured anchor tip angle")
+    p.add_argument("--psi-l-deg", type=_finite, required=True, help="measured anchor tip angle")
 
     p = sub.add_parser("plot", parents=[common], help="render heatmaps from a sweep CSV")
     p.add_argument("--sweep-csv", metavar="PATH")
@@ -504,9 +466,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotBistable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except HcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .core import MATERIAL_PRESETS, Material, RibbonGeometry
@@ -61,6 +62,9 @@ def _number(block: dict, key: str, where: str, required: bool = True, default=No
     val = block[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"field {where}.{key} must be a number, got {val!r}")
+    # NaN fails both bounds; an int beyond the float range fails one.
+    if not -sys.float_info.max <= val <= sys.float_info.max:
+        raise ConfigError(f"field {where}.{key} must be finite, got {val!r}")
     return float(val)
 
 

@@ -61,10 +61,10 @@ def _rotx(a):
 
 @dataclass(frozen=True)
 class DiscreteRibbon:
-    """Discretized blank plus hinge stiffnesses.
+    """Discretized blank plus hinge stiffness.
 
-    node_positions and link_frames describe the rest (flat kinked) blank in
-    meters; joint stiffnesses are in N*m/rad and are allocated per joint
+    node_positions describe the rest (flat kinked) blank in meters; the
+    out-of-plane joint stiffness is in N*m/rad and is allocated per joint
     spacing, so sum(1/k_bend_out) over the n_links-1 joints equals l/EI_eta
     exactly.
     """
@@ -72,17 +72,13 @@ class DiscreteRibbon:
     n_links: int
     link_length: float
     node_positions: np.ndarray
-    link_frames: np.ndarray
-    k_bend_in: float
     k_bend_out: float
-    k_twist: float
     rest_kink_index: int
     rest_kink_angle: float
     l: float
     energy_scale: float  # EI_eta / l, joules per unit of dimensionless energy
     h_over_t: float
     nu: float
-    gamma_s: float
 
 
 @dataclass
@@ -245,10 +241,6 @@ def build_discrete(geom: RibbonGeometry, mat: Material, n_links: int = 60) -> Di
     l = lengths["l"]
     sec = section_properties(geom, mat)
     EI_eta = mat.E * sec.I_eta
-    EI_xi = mat.E * geom.t * geom.h**3 / 12.0
-    GJ = sec.G * sec.J
-    n_joints = n_links - 1
-    k_scale = n_joints / l
 
     kink_node = int(round(n_links / (1.0 + geom.gamma_s)))
     kink_node = min(max(kink_node, 1), n_links - 1)
@@ -257,24 +249,19 @@ def build_discrete(geom: RibbonGeometry, mat: Material, n_links: int = 60) -> Di
         n_links=n_links,
         link_length=l / n_links,
         node_positions=np.zeros((n_links + 1, 3)),
-        link_frames=np.zeros((n_links, 3, 3)),
-        k_bend_in=EI_xi * k_scale,
-        k_bend_out=EI_eta * k_scale,
-        k_twist=GJ * k_scale,
+        k_bend_out=EI_eta * ((n_links - 1) / l),
         rest_kink_index=kink_node - 1,
         rest_kink_angle=geom.theta,
         l=l,
         energy_scale=EI_eta / l,
         h_over_t=geom.h / geom.t,
         nu=mat.nu,
-        gamma_s=geom.gamma_s,
     )
     solver = _Solver(ribbon)
     q_rest = np.zeros(3 * solver.m)
     q_rest[: solver.m] = solver.rest
-    R, x, _ = solver.fk(q_rest)
+    _, x, _ = solver.fk(q_rest)
     ribbon.node_positions[:] = x * l
-    ribbon.link_frames[:] = R
     return ribbon
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "waveform_series",
     "mean_square_tip_rate",
     "fit_hydro",
+    "steady_speed",
     "cruise_speed",
     "speed_metrics",
     "fig6_rows",
@@ -150,11 +151,16 @@ def fit_hydro(
     return HydroFit(k_thrust=k_drag * reference_speed**2 / msr, k_drag=k_drag, mass=mass)
 
 
+def steady_speed(hydro: HydroFit, msr: float) -> float:
+    """Cruise speed at which the thrust k_thrust*msr balances the drag k_drag*v^2."""
+    return math.sqrt(hydro.k_thrust * msr / hydro.k_drag)
+
+
 def cruise_speed(w: Waveform, hydro: HydroFit, T: float, body_length: float) -> SwimResult:
     """Integrate the cruise dynamics from rest over duration T (RK4, 2000 steps)."""
     msr = mean_square_tip_rate(w)
     thrust = hydro.k_thrust * msr
-    v_steady = math.sqrt(thrust / hydro.k_drag)
+    v_steady = steady_speed(hydro, msr)
     n = 2000
     dt = T / n
     inv_m = 1.0 / hydro.mass

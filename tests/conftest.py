@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, cwd=None):
-    """Run the CLI in a subprocess; returns CompletedProcess with text output."""
+    """Run this checkout's CLI in a subprocess; returns CompletedProcess with text output."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "hcmkit.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
         timeout=600,
     )
 

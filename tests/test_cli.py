@@ -1,5 +1,7 @@
 import json
 
+from hcmkit import cli, oracle
+
 from conftest import CONFIGS, GOLDEN, run_cli
 
 PNEU = str(CONFIGS / "pneumatic.json")
@@ -54,6 +56,21 @@ def test_sweep_bad_range_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_sweep_range_cap_exits_2(tmp_path):
+    # about 1e18 theta values, and a span that overflows: refused from the
+    # count, before any list is built
+    for theta in ("--theta=0:1e9:1e-9", "--theta=-1e308:1e308:1"):
+        res = run_cli(["sweep", "--config", PNEU, theta, "--gamma=4:8:2", "--out", str(tmp_path)])
+        assert res.returncode == 2
+        assert "--theta" in res.stderr
+    res = run_cli(
+        ["sweep", "--config", PNEU, "--theta=0:999:1", "--gamma=2:201:1", "--out", str(tmp_path)]
+    )
+    assert res.returncode == 2
+    assert "cells" in res.stderr
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_snap_monostable_exits_3(tmp_path):
     res = run_cli(["snap", "--config", MONO, "--out", str(tmp_path)])
     assert res.returncode == 3
@@ -88,6 +105,29 @@ def test_swim_trace(tmp_path):
     lines = (tmp_path / "swim_sinusoid.csv").read_text().strip().split("\n")
     assert lines[0] == "time_s,v_m_s"
     assert lines[1] == "0.0,0.0"
+
+
+def test_swim_without_hydro_reference_exits_2(tmp_path):
+    payload = json.loads((CONFIGS / "pneumatic.json").read_text())
+    del payload["hydro"]["reference"]
+    p = tmp_path / "noref.json"
+    p.write_text(json.dumps(payload))
+    for extra in (["--compare"], ["--waveform", "sinusoid", "--out", str(tmp_path)]):
+        res = run_cli(["swim", "--config", str(p), *extra])
+        assert res.returncode == 2
+        assert "hydro.reference" in res.stderr
+        assert "internal error" not in res.stderr
+
+
+def test_float_flags_reject_non_finite(tmp_path):
+    for bad in ("inf", "-inf", "nan"):
+        res = run_cli(["swim", "--config", PNEU, "--frequency-hz", bad, "--out", str(tmp_path)])
+        assert res.returncode == 2
+        assert "--frequency-hz" in res.stderr
+        res = run_cli(["calibrate", "--config", PNEU, "--psi-l-deg", bad, "--out", str(tmp_path)])
+        assert res.returncode == 2
+        assert "--psi-l-deg" in res.stderr
+    assert not (tmp_path / "calibration.json").exists()
 
 
 def test_swim_fig6_matches_golden(tmp_path):
@@ -132,6 +172,19 @@ def test_oracle_nodes_csv():
     lines = res.stdout.strip().split("\n")
     assert lines[0] == "node_index,x_m,y_m,z_m"
     assert len(lines) == 1 + 41
+
+
+def test_oracle_csv_solves_only_the_plus_well(monkeypatch, capsys):
+    def no_report(*args, **kwargs):
+        raise AssertionError("oracle --format csv ran the full report")
+
+    monkeypatch.setattr(oracle, "oracle_report", no_report)
+    code = cli.main(["oracle", "--config", PNEU, "--n-links", "20", "--format", "csv"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    lines = out.out.strip().split("\n")
+    assert lines[0] == "node_index,x_m,y_m,z_m"
+    assert len(lines) == 1 + 21
 
 
 def test_calibrate_writes_artifact(tmp_path):

@@ -88,6 +88,11 @@ def test_options_overrides(tmp_path):
         (lambda p: p.update(hydro={"mass_kg": 0.1}), "body_length_cm"),
         (lambda p: p.update(swim={"snap_time_ms": -5.0}), "snap_time_ms"),
         (lambda p: p.update(bogus_block={}), "bogus"),
+        (lambda p: p["geometry"].update(gamma_s=math.inf), "gamma_s"),
+        (lambda p: p["geometry"].update(h_mm=math.inf), "h_mm"),
+        (lambda p: p["geometry"].update(theta_deg=math.nan), "theta_deg"),
+        (lambda p: p["geometry"].update(t_mm=10**400), "t_mm"),
+        (lambda p: p.update(options={"damping": {"air": math.inf}}), "damping.air"),
     ],
 )
 def test_rejects_malformed(tmp_path, mutate, fragment):

@@ -47,7 +47,6 @@ from .postbuckle import (
     analyze,
     calibrate,
     energy_barrier,
-    equilibrium_states,
     load_calibration,
     save_calibration,
     tip_angle,
@@ -97,7 +96,6 @@ __all__ = [
     "derive_lengths",
     "effective_inertia",
     "energy_barrier",
-    "equilibrium_states",
     "load_calibration",
     "prebuckled_inplane_shape",
     "save_calibration",

@@ -30,6 +30,8 @@ __all__ = [
     "critical_load_closed_form",
 ]
 
+MIN_N_GRID = 64
+
 
 @dataclass(frozen=True)
 class PrebuckledShape:
@@ -87,27 +89,25 @@ def critical_load(
 ) -> BucklingMode:
     """Smallest P > 0 with a nontrivial twist mode, by dense generalized eigensolve.
 
-    n_grid counts grid points including both ends; n_grid >= 64 required.
+    n_grid counts grid points including both ends; n_grid >= MIN_N_GRID required.
     """
     beta = _require_bistable(geom)
-    if n_grid < 64:
-        raise EigenFailure(f"n_grid must be at least 64, got {n_grid}")
+    if n_grid < MIN_N_GRID:
+        raise EigenFailure(f"n_grid must be at least {MIN_N_GRID}, got {n_grid}")
     l = derive_lengths(geom)["l"]
     sec = section_properties(geom, mat, corrected_torsion=corrected_torsion)
     GJ = sec.G * sec.J
     EI = mat.E * sec.I_eta
-    A_ini = (l / math.pi) * math.sin(beta)
+    shape = prebuckled_inplane_shape(geom, n_grid)
 
     n_int = n_grid - 2
     dz = l / (n_grid - 1)
-    z = np.linspace(0.0, l, n_grid)
-    w_int = A_ini * np.sin(math.pi * z[1:-1] / l)
 
     # -GJ*phi'' = lambda * (w^2/EI) * phi with lambda = P^2.
     main = np.full(n_int, 2.0 * GJ / dz**2)
     off = np.full(n_int - 1, -GJ / dz**2)
     A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    B = np.diag(w_int**2 / EI)
+    B = np.diag(shape.w[1:-1] ** 2 / EI)
 
     try:
         vals, vecs = scipy.linalg.eigh(A, B, subset_by_index=[0, 0])
@@ -126,7 +126,7 @@ def critical_load(
         raise EigenFailure("computed mode has interior sign changes; not fundamental")
     phi *= beta / np.max(np.abs(phi))
 
-    return BucklingMode(P_cr=math.sqrt(lam), grid=z, phi=phi, normalization=beta)
+    return BucklingMode(P_cr=math.sqrt(lam), grid=shape.z, phi=phi, normalization=beta)
 
 
 def critical_load_closed_form(

@@ -95,13 +95,10 @@ def _load_calibration(args):
 
 def _analyze(cfg: config.ParsedConfig, calib, geom=None) -> postbuckle.HcmAnalysis:
     """postbuckle.analyze of the config's design, or of geom in its place."""
-    # With no calibration on file the raw (scale-free) integral is reported.
-    if calib is None:
-        calib = postbuckle.Calibration(C_psi=1.0, anchor_id="uncalibrated", created="")
     return postbuckle.analyze(
         cfg.geom if geom is None else geom,
         cfg.mat,
-        calib,
+        postbuckle.UNCALIBRATED if calib is None else calib,  # None: the raw integral
         n_grid=cfg.options.n_grid,
         corrected_torsion=cfg.options.corrected_torsion,
     )
@@ -374,8 +371,9 @@ def cmd_calibrate(args) -> int:
     cfg = _require_config(args)
     if args.psi_l_deg <= 0:
         raise ConfigError("--psi-l-deg must be positive")
+    opts = cfg.options
     calib = postbuckle.calibrate(
-        cfg.geom, cfg.mat, math.radians(args.psi_l_deg), n_grid=cfg.options.n_grid
+        cfg.geom, cfg.mat, math.radians(args.psi_l_deg), opts.n_grid, opts.corrected_torsion
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "calibration.json")

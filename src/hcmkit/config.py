@@ -12,12 +12,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from .buckling import MIN_N_GRID
 from .core import MATERIAL_PRESETS, Material, RibbonGeometry
 from .errors import ConfigError
 from .snapdyn import DAMPING_PRESETS
 from .swim import DEFAULT_K_DRAG, Waveform
 
 __all__ = ["OptionsBlock", "HydroBlock", "ParsedConfig", "load_config", "parse_config"]
+
+MAX_N_GRID = 4097  # the dense eigensolve grows as n_grid^2 in memory, n_grid^3 in time
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class ParsedConfig:
     options: OptionsBlock
     hydro: HydroBlock | None
     snap_time_override: float | None
-    raw: dict
 
 
 def _check_keys(block: dict, allowed, where: str):
@@ -114,6 +116,8 @@ def _parse_options(block) -> OptionsBlock:
     for name, val in (("n_grid", n_grid), ("n_links", n_links)):
         if isinstance(val, bool) or not isinstance(val, int) or val <= 0:
             raise ConfigError(f"options.{name} must be a positive integer, got {val!r}")
+    if not MIN_N_GRID <= n_grid <= MAX_N_GRID:
+        raise ConfigError(f"options.n_grid must be in [{MIN_N_GRID}, {MAX_N_GRID}], got {n_grid}")
     damping = dict(DAMPING_PRESETS)
     if "damping" in block:
         if not isinstance(block["damping"], dict):
@@ -204,7 +208,6 @@ def parse_config(payload: dict) -> ParsedConfig:
         options=options,
         hydro=hydro,
         snap_time_override=snap_override,
-        raw=payload,
     )
 
 
@@ -214,6 +217,6 @@ def load_config(path) -> ParsedConfig:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(payload)

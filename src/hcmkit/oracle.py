@@ -296,12 +296,10 @@ def find_equilibrium(ribbon: DiscreteRibbon, side: str) -> ChainState:
     return state
 
 
-def find_saddle(ribbon: DiscreteRibbon, well: ChainState | None = None) -> ChainState:
+def find_saddle(ribbon: DiscreteRibbon, well: ChainState) -> ChainState:
     """Lowest mirror-symmetric configuration, reached by ramping the
     z-antisymmetry penalty from the plus-side well."""
     solver = _Solver(ribbon)
-    if well is None:
-        well = find_equilibrium(ribbon, "plus")
     # The antisymmetry pull stretches the pin, so the pin gets one extra
     # tightening stage to keep the extremity gap inside the 1e-4*l budget.
     pin_stages = (PENALTY_STAGES[-1], 10.0 * PENALTY_STAGES[-1])

@@ -1,4 +1,4 @@
-"""Post-buckling analytics: tip angle, energy barrier, equilibrium states.
+"""Post-buckling analytics: tip angle and energy barrier.
 
 The tip bend angle follows from the twist mode by integrating twist times
 moment arm,
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from scipy.integrate import trapezoid
+import numpy as np
 
 from . import snapdyn
 from .buckling import BucklingMode, critical_load
@@ -29,9 +29,9 @@ from .errors import DegenerateAnchor, NotBistable, NotCalibrated
 __all__ = [
     "HcmAnalysis",
     "Calibration",
+    "UNCALIBRATED",
     "tip_angle",
     "energy_barrier",
-    "equilibrium_states",
     "calibrate",
     "analyze",
     "load_calibration",
@@ -58,12 +58,8 @@ class Calibration:
     created: str
 
 
-def _uncalibrated_integral(geom: RibbonGeometry, mat: Material, mode: BucklingMode) -> float:
-    """(P_cr/EI_eta) * trapezoid of phi(z)*(l - z) on the mode grid."""
-    sec = section_properties(geom, mat)
-    l = derive_lengths(geom)["l"]
-    arm = l - mode.grid
-    return mode.P_cr / (mat.E * sec.I_eta) * float(trapezoid(mode.phi * arm, mode.grid))
+# Unit scale: analyze then reports the raw (P_cr/EI_eta) * integral.
+UNCALIBRATED = Calibration(C_psi=1.0, anchor_id="uncalibrated", created="")
 
 
 def tip_angle(
@@ -74,7 +70,11 @@ def tip_angle(
         raise NotBistable("tip angle undefined for a mono-stable design")
     if calib is None:
         raise NotCalibrated("no calibration supplied; run calibrate first")
-    return calib.C_psi * _uncalibrated_integral(geom, mat, mode)
+    sec = section_properties(geom, mat)
+    z = mode.grid
+    y = mode.phi * (derive_lengths(geom)["l"] - z)
+    integral = float(np.sum(np.diff(z) * (y[1:] + y[:-1]) / 2.0))  # trapezoid rule
+    return calib.C_psi * (mode.P_cr / (mat.E * sec.I_eta) * integral)
 
 
 def energy_barrier(geom: RibbonGeometry, mat: Material, P_cr: float) -> dict:
@@ -91,35 +91,24 @@ def energy_barrier(geom: RibbonGeometry, mat: Material, P_cr: float) -> dict:
     }
 
 
-def equilibrium_states(analysis: HcmAnalysis) -> dict:
-    """The two stable states; equal energies by mirror symmetry through the blank plane."""
-    if not (analysis.U_barr > 0.0):
-        raise NotBistable("no distinct equilibrium states without a barrier")
-    return {
-        "psi_plus": analysis.psi_eq,
-        "psi_minus": -analysis.psi_eq,
-        "U_plus": 0.0,
-        "U_minus": 0.0,
-    }
-
-
 def calibrate(
     anchor_geom: RibbonGeometry,
     anchor_mat: Material,
     anchor_psi_l: float,
     n_grid: int = 257,
+    corrected_torsion: bool = False,
 ) -> Calibration:
-    """Fix C_psi so the anchor design reproduces anchor_psi_l exactly."""
+    """Fix C_psi so that analyze of the anchor design gives anchor_psi_l exactly."""
     if not (anchor_psi_l > 0.0):
         raise DegenerateAnchor(f"anchor psi_l must be positive, got {anchor_psi_l}")
-    mode = critical_load(anchor_geom, anchor_mat, n_grid=n_grid)
-    raw = _uncalibrated_integral(anchor_geom, anchor_mat, mode)
+    raw = analyze(anchor_geom, anchor_mat, UNCALIBRATED, n_grid, corrected_torsion).psi_l
     if raw < 1e-12:
         raise DegenerateAnchor(f"uncalibrated integral {raw:.3g} below 1e-12")
     anchor_id = (
         f"theta={math.degrees(anchor_geom.theta):g}deg,"
         f"gamma_s={anchor_geom.gamma_s:g},"
         f"psi_l={math.degrees(anchor_psi_l):g}deg,n_grid={n_grid}"
+        + (",corrected_torsion" if corrected_torsion else "")
     )
     return Calibration(
         C_psi=anchor_psi_l / raw,

@@ -165,10 +165,9 @@ def snap_duration(trace: SnapTrace, psi_eq: float) -> float:
     return t90 - t10
 
 
-def triggered_snap(
-    well: DoubleWell, steps_per_period: int = 2000, periods: float = 120.0
-) -> SnapTrace:
-    """Snap trace for a just-triggered transition.
+def triggered_snap(well: DoubleWell) -> SnapTrace:
+    """Snap trace for a just-triggered transition, 2000 steps per well period
+    over 120 periods.
 
     The actuator is modeled as having pushed the tip quasi-statically to just
     below the barrier top; the trace starts at psi = -1e-3*psi_eq moving
@@ -176,11 +175,10 @@ def triggered_snap(
     negligible against the barrier), crosses psi = 0, and falls into +psi_eq.
     """
     period = 2.0 * math.pi / well.omega_well
-    dt = period / steps_per_period
     return simulate_snap(
         well,
         psi0=-1e-3 * well.psi_eq,
         psi_dot0=1e-2 * well.omega_well * well.psi_eq,
-        dt=dt,
-        T=periods * period,
+        dt=period / 2000,
+        T=120.0 * period,
     )

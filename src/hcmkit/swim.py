@@ -69,6 +69,12 @@ class Waveform:
                     "bistable waveform needs 2*frequency*snap_time < 1 "
                     f"(got {2.0 * self.frequency * self.snap_time:.3g})"
                 )
+        try:
+            msr = mean_square_tip_rate(self)
+        except OverflowError:
+            msr = math.inf
+        if not math.isfinite(msr):
+            raise ConfigError(f"mean-square tip rate is not finite at {self.frequency:.6g} Hz")
 
 
 @dataclass(frozen=True)
@@ -157,34 +163,24 @@ def steady_speed(hydro: HydroFit, msr: float) -> float:
 
 
 def cruise_speed(w: Waveform, hydro: HydroFit, T: float, body_length: float) -> SwimResult:
-    """Integrate the cruise dynamics from rest over duration T (RK4, 2000 steps)."""
+    """Cruise from rest over duration T, sampled at 2001 points.
+
+    The Riccati dynamics have the exact solution
+    v(t) = v_steady * tanh(t * sqrt(thrust * k_drag) / mass).
+    """
     msr = mean_square_tip_rate(w)
     thrust = hydro.k_thrust * msr
     v_steady = steady_speed(hydro, msr)
+    rate = math.sqrt(thrust * hydro.k_drag) / hydro.mass
+    if not (math.isfinite(v_steady) and math.isfinite(rate)):
+        raise NonFinite("cruise speed or rise rate overflowed")
     n = 2000
-    dt = T / n
-    inv_m = 1.0 / hydro.mass
-
-    def acc(v):
-        return (thrust - hydro.k_drag * v * v) * inv_m
-
-    v = 0.0
-    trace = np.empty(n + 1)
-    trace[0] = 0.0
-    for i in range(n):
-        k1 = acc(v)
-        k2 = acc(v + 0.5 * dt * k1)
-        k3 = acc(v + 0.5 * dt * k2)
-        k4 = acc(v + dt * k3)
-        v += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        trace[i + 1] = v
-    if not math.isfinite(v):
-        raise NonFinite("cruise integration overflowed")
+    time = (T / n) * np.arange(n + 1)
     return SwimResult(
         v_steady=v_steady,
-        time=dt * np.arange(n + 1),
-        v_trace=trace,
-        accel0=thrust * inv_m,
+        time=time,
+        v_trace=v_steady * np.tanh(time * rate),
+        accel0=thrust * (1.0 / hydro.mass),
         speed_BL_s=v_steady / body_length,
     )
 
@@ -208,8 +204,8 @@ _FIG6_LITERATURE = (
 )
 
 
-def fig6_rows(model_rows=()) -> list:
-    """Literature rows plus any computed model rows (same field order)."""
+def fig6_rows() -> list:
+    """The published comparison points as table rows."""
     return [
         {
             "label": label,
@@ -218,7 +214,7 @@ def fig6_rows(model_rows=()) -> list:
             "speed_bl_s": bl,
             "tethered": tether,
         }
-        for (label, f, v, bl, tether) in (*_FIG6_LITERATURE, *model_rows)
+        for (label, f, v, bl, tether) in _FIG6_LITERATURE
     ]
 
 

@@ -13,17 +13,23 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(args, cwd=None):
-    """Run this checkout's CLI in a subprocess; returns CompletedProcess with text output."""
+def run_python(args, cwd=None):
+    """Run a Python subprocess that imports this checkout's src first; returns
+    CompletedProcess with text output."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "hcmkit.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         timeout=600,
     )
+
+
+def run_cli(args, cwd=None):
+    """Run this checkout's CLI in a subprocess; returns CompletedProcess with text output."""
+    return run_python(["-m", "hcmkit.cli", *args], cwd=cwd)
 
 
 @pytest.fixture(scope="session")

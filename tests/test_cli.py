@@ -2,7 +2,7 @@ import json
 
 from hcmkit import cli, oracle
 
-from conftest import CONFIGS, GOLDEN, run_cli
+from conftest import CONFIGS, GOLDEN, run_cli, run_python
 
 PNEU = str(CONFIGS / "pneumatic.json")
 MONO = str(CONFIGS / "monostable.json")
@@ -130,6 +130,15 @@ def test_float_flags_reject_non_finite(tmp_path):
     assert not (tmp_path / "calibration.json").exists()
 
 
+def test_swim_overflowing_tip_rate_exits_2(tmp_path):
+    for mode in (["--waveform", "sinusoid"], ["--compare"]):
+        res = run_cli(["swim", "--config", PNEU, *mode, "--frequency-hz", "1e200",
+                       "--out", str(tmp_path)])
+        assert res.returncode == 2
+        assert "tip rate" in res.stderr
+        assert "internal error" not in res.stderr
+
+
 def test_swim_fig6_matches_golden(tmp_path):
     res = run_cli(["swim", "--fig6", "--out", str(tmp_path)])
     assert res.returncode == 0
@@ -194,6 +203,22 @@ def test_calibrate_writes_artifact(tmp_path):
     assert abs(payload["c_psi"] - 0.16315471185527639) < 1e-12
     res2 = run_cli(["calibrate", "--config", PNEU, "--psi-l-deg", "-5", "--out", str(tmp_path)])
     assert res2.returncode == 2
+
+
+def test_calibrate_uses_corrected_torsion(tmp_path):
+    payload = json.loads((CONFIGS / "pneumatic.json").read_text())
+    payload["options"] = {"corrected_torsion": True}
+    p = tmp_path / "corrected.json"
+    p.write_text(json.dumps(payload))
+    res = run_cli(["calibrate", "--config", str(p), "--psi-l-deg", "39", "--out", str(tmp_path)])
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["anchor_id"].endswith(",corrected_torsion")
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    res = run_python(["-c", "import sys, hcmkit.cli; print('scipy.integrate' in sys.modules)"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_missing_config_exits_2():

@@ -84,6 +84,8 @@ def test_options_overrides(tmp_path):
         (lambda p: p.update(material="adamantium"), "adamantium"),
         (lambda p: p.update(material={"E_GPa": 2.0}), "nu"),
         (lambda p: p.update(options={"n_grid": -4}), "n_grid"),
+        (lambda p: p.update(options={"n_grid": 10}), "options.n_grid"),
+        (lambda p: p.update(options={"n_grid": 200000}), "options.n_grid"),
         (lambda p: p.update(options={"mystery": 1}), "mystery"),
         (lambda p: p.update(hydro={"mass_kg": 0.1}), "body_length_cm"),
         (lambda p: p.update(swim={"snap_time_ms": -5.0}), "snap_time_ms"),
@@ -110,9 +112,14 @@ def test_missing_file():
 
 def test_invalid_json(tmp_path):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        config.load_config(p)
+    for text in (
+        "{not json",
+        json.dumps(BASE).replace("12.5", "1" * 5001),  # beyond the int-parsing digit limit
+        "[" * 200000 + "]" * 200000,  # beyond the decoder's recursion limit
+    ):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            config.load_config(p)
 
 
 def test_geometry_limits_surface_as_config_errors(tmp_path):

@@ -108,12 +108,23 @@ def test_degenerate_anchor(pneumatic_geom, plastic):
         postbuckle.calibrate(pneumatic_geom, plastic, -1.0)
 
 
-def test_equilibrium_states(pneumatic_geom, plastic, calibration):
-    res = postbuckle.analyze(pneumatic_geom, plastic, calibration)
-    states = postbuckle.equilibrium_states(res)
-    assert states["psi_plus"] == res.psi_eq
-    assert states["psi_minus"] == -res.psi_eq
-    assert states["U_plus"] == 0.0 and states["U_minus"] == 0.0
+def test_calibrate_honours_corrected_torsion(pneumatic_geom, plastic):
+    anchor = math.radians(39.0)
+    calib = postbuckle.calibrate(pneumatic_geom, plastic, anchor, corrected_torsion=True)
+    res = postbuckle.analyze(pneumatic_geom, plastic, calib, corrected_torsion=True)
+    assert abs(res.psi_l - anchor) < 1e-9
+    assert calib.anchor_id.endswith(",n_grid=257,corrected_torsion")
+
+
+@pytest.mark.parametrize("n_grid", [129, 257, 385])
+def test_tip_integral_equals_scipy_trapezoid(pneumatic_geom, plastic, n_grid):
+    from scipy.integrate import trapezoid
+
+    mode = buckling.critical_load(pneumatic_geom, plastic, n_grid=n_grid)
+    sec = core.section_properties(pneumatic_geom, plastic)
+    arm = core.derive_lengths(pneumatic_geom)["l"] - mode.grid
+    ref = mode.P_cr / (plastic.E * sec.I_eta) * float(trapezoid(mode.phi * arm, mode.grid))
+    assert postbuckle.tip_angle(pneumatic_geom, plastic, mode, postbuckle.UNCALIBRATED) == ref
 
 
 def test_calibration_file_roundtrip(tmp_path, pneumatic_geom, plastic):

@@ -68,6 +68,18 @@ def test_cruise_speed_monotone_to_steady():
     assert res.accel0 > 0.0
 
 
+def test_cruise_trace_solves_the_riccati_equation():
+    fit = swim.fit_hydro(SINE_REF, 0.1310, mass=0.0425)
+    # T spans the whole rise (about 3 time constants) at a fine sampling step
+    res = swim.cruise_speed(BIST_REF, fit, 0.5, 0.186)
+    thrust = fit.k_thrust * swim.mean_square_tip_rate(BIST_REF)
+    v, t = res.v_trace, res.time
+    dvdt = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
+    residual = fit.mass * dvdt - (thrust - fit.k_drag * v[1:-1] ** 2)
+    assert np.max(np.abs(residual)) < 1e-6 * thrust
+    assert res.accel0 == thrust * (1.0 / fit.mass)
+
+
 def test_speed_metrics_reference_points():
     loop = swim.speed_metrics(5.54, 12.7, 0.215)
     assert abs(loop["v"] - 0.436) < 5e-4
@@ -102,6 +114,9 @@ def test_waveform_validation():
     with pytest.raises(ConfigError):
         # ramps longer than the half period cannot fit
         swim.Waveform(kind="bistable", amplitude=0.5, frequency=5.0, snap_time=0.2)
+    with pytest.raises(ConfigError, match="not finite"):
+        # the squared tip rate overflows the float range
+        swim.Waveform(kind="sinusoid", amplitude=0.5, frequency=1e200)
 
 
 def test_series_guards():
@@ -130,9 +145,3 @@ def test_fig6_table_bytes():
         "hcm_fish_untethered,3,43.60,2.03,false\n"
         "literature_corrected,,8.53,0.57,false\n"
     )
-
-
-def test_fig6_model_rows_appended():
-    rows = swim.fig6_rows(model_rows=(("model_pt", 2.0, 30.0, 1.5, False),))
-    text = swim.fig6_to_csv(rows)
-    assert text.strip().split("\n")[-1] == "model_pt,2,30.00,1.50,false"

@@ -6,13 +6,19 @@ as the first buckling mode w(z) = A_ini*sin(pi z/l), with the amplitude fixed
 by requiring the end slope to equal the released kink rotation beta. The
 out-of-plane escape is governed by the narrow-strip coupling ODE
 
-    GJ*phi'' + (P^2 * w(z)^2 / EI_eta) * phi = 0,   phi(0) = phi(l) = 0,
+    GJ*phi'' + (P^2 * w(z)^2 / EI_eta) * phi = 0,   phi(0) = phi(l) = 0.
 
-solved as a generalized eigenproblem in P^2 on a central-difference grid.
+On the unit span s = z/l it reads -phi'' = lam*sin^2(pi s)*phi with
+lam = P^2*l^2*A_ini^2/(GJ*EI_eta), which holds no design parameter. Its
+central-difference pencil on n_grid points is therefore solved once per
+n_grid and cached; a design only rescales the unit eigenpair (lam_hat, phi_hat):
+
+    P_cr = (n_grid - 1)*sqrt(lam_hat*GJ*EI_eta)/(l*A_ini),   phi = beta*phi_hat.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,11 +64,13 @@ class BucklingMode:
     normalization: float
 
 
-def _require_bistable(geom: RibbonGeometry) -> float:
+def _kink(geom: RibbonGeometry) -> tuple[float, float, float]:
+    """beta, the half-length l and the amplitude A_ini = (l/pi)*sin(beta) of a bistable design."""
     margin = bistability_margin(geom)
     if not margin["bistable"]:
         raise NotBistable(f"beta = {margin['beta']:.6g} rad; design is mono-stable")
-    return margin["beta"]
+    l = derive_lengths(geom)["l"]
+    return margin["beta"], l, (l / math.pi) * math.sin(margin["beta"])
 
 
 def prebuckled_inplane_shape(geom: RibbonGeometry, n_samples: int = 129) -> PrebuckledShape:
@@ -70,9 +78,7 @@ def prebuckled_inplane_shape(geom: RibbonGeometry, n_samples: int = 129) -> Preb
 
     w(z) = A_ini*sin(pi z/l) with A_ini = (l/pi)*sin(beta), so w'(0) = sin(beta).
     """
-    beta = _require_bistable(geom)
-    l = derive_lengths(geom)["l"]
-    A_ini = (l / math.pi) * math.sin(beta)
+    _, l, A_ini = _kink(geom)
     z = np.linspace(0.0, l, n_samples)
     w = A_ini * np.sin(math.pi * z / l)
     # Endpoints are pinned; enforce exact zeros against roundoff.
@@ -81,60 +87,64 @@ def prebuckled_inplane_shape(geom: RibbonGeometry, n_samples: int = 129) -> Preb
     return PrebuckledShape(A_ini=A_ini, z=z, w=w)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_mode(n_grid: int) -> tuple[float, np.ndarray]:
+    """Fundamental pair of tridiag(-1, 2, -1)*x = lam_hat*diag(sin^2(pi s_i))*x.
+
+    s_i = i/(n_grid - 1) are the interior points. Returns lam_hat and the
+    read-only mode phi_hat on all n_grid points, positive inside and scaled
+    to max 1.
+    """
+    s = np.linspace(0.0, 1.0, n_grid)
+    d = np.sin(np.pi * s[1:-1]) ** 2
+    # Symmetrised pencil D^-1/2*T*D^-1/2*y = lam_hat*y, with x = y/sqrt(d).
+    _, vecs = scipy.linalg.eigh_tridiagonal(
+        2.0 / d, -1.0 / np.sqrt(d[:-1] * d[1:]), select="i", select_range=(0, 0)
+    )
+    phi = np.zeros(n_grid)
+    phi[1:-1] = vecs[:, 0] / np.sqrt(d)
+    # The fundamental mode of this SPD pencil is nodeless; fix the sign and verify.
+    if phi[n_grid // 2] < 0.0:
+        phi = -phi
+    if np.any(phi[1:-1] <= 0.0):
+        raise EigenFailure("computed mode has interior sign changes; not fundamental")
+    phi /= np.max(phi)
+    phi.setflags(write=False)
+    # The Rayleigh quotient squares the mode's error, so lam_hat is exact to rounding.
+    lam_hat = float(np.sum(np.diff(phi) ** 2) / np.sum(d * phi[1:-1] ** 2))
+    return lam_hat, phi
+
+
 def critical_load(
     geom: RibbonGeometry,
     mat: Material,
     n_grid: int = 257,
     corrected_torsion: bool = False,
 ) -> BucklingMode:
-    """Smallest P > 0 with a nontrivial twist mode, by dense generalized eigensolve.
+    """Smallest P > 0 with a nontrivial twist mode, by rescaling the cached unit eigenpair.
 
-    n_grid counts grid points including both ends; n_grid >= MIN_N_GRID required.
+    n_grid counts grid points including both ends and selects the grid of the
+    unit solve; n_grid >= MIN_N_GRID required.
     """
-    beta = _require_bistable(geom)
+    beta, l, A_ini = _kink(geom)
     if n_grid < MIN_N_GRID:
         raise EigenFailure(f"n_grid must be at least {MIN_N_GRID}, got {n_grid}")
-    l = derive_lengths(geom)["l"]
     sec = section_properties(geom, mat, corrected_torsion=corrected_torsion)
-    GJ = sec.G * sec.J
-    EI = mat.E * sec.I_eta
-    shape = prebuckled_inplane_shape(geom, n_grid)
-
-    n_int = n_grid - 2
-    dz = l / (n_grid - 1)
-
-    # -GJ*phi'' = lambda * (w^2/EI) * phi with lambda = P^2.
-    main = np.full(n_int, 2.0 * GJ / dz**2)
-    off = np.full(n_int - 1, -GJ / dz**2)
-    A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    B = np.diag(shape.w[1:-1] ** 2 / EI)
-
-    try:
-        vals, vecs = scipy.linalg.eigh(A, B, subset_by_index=[0, 0])
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigenFailure(f"eigensolve failed: {exc}") from exc
-    lam = float(vals[0])
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise EigenFailure(f"no positive eigenvalue found (lambda = {lam:.6g})")
-
-    phi = np.zeros(n_grid)
-    phi[1:-1] = vecs[:, 0]
-    # Fundamental mode of this SPD pencil is nodeless; fix the sign and verify.
-    if phi[n_grid // 2] < 0.0:
-        phi = -phi
-    if np.any(phi[1:-1] <= 0.0):
-        raise EigenFailure("computed mode has interior sign changes; not fundamental")
-    phi *= beta / np.max(np.abs(phi))
-
-    return BucklingMode(P_cr=math.sqrt(lam), grid=shape.z, phi=phi, normalization=beta)
+    lam_hat, phi_hat = _unit_mode(n_grid)
+    root = (n_grid - 1) * math.sqrt(lam_hat * sec.G * sec.J * mat.E * sec.I_eta)
+    # l*A_ini underflows to 0 for l below about 1e-161 m.
+    P_cr = root / (l * A_ini) if l * A_ini > 0.0 else math.inf
+    if not 0.0 < P_cr < math.inf:
+        raise EigenFailure(f"no positive finite critical load (P_cr = {P_cr:.6g} N)")
+    return BucklingMode(
+        P_cr=P_cr, grid=np.linspace(0.0, l, n_grid), phi=beta * phi_hat, normalization=beta
+    )
 
 
 def critical_load_closed_form(
     geom: RibbonGeometry, mat: Material, corrected_torsion: bool = False
 ) -> float:
     """Uniform-moment surrogate: replaces sin^2 by its mean 1/2 in the coupling ODE."""
-    beta = _require_bistable(geom)
-    l = derive_lengths(geom)["l"]
+    _, l, A_ini = _kink(geom)
     sec = section_properties(geom, mat, corrected_torsion=corrected_torsion)
-    A_ini = (l / math.pi) * math.sin(beta)
     return math.pi * math.sqrt(2.0 * sec.G * sec.J * mat.E * sec.I_eta) / (A_ini * l)

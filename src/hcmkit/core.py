@@ -7,7 +7,7 @@ Degrees and millimeters exist only at the config/CLI boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -20,6 +20,13 @@ __all__ = [
     "section_properties",
     "bistability_margin",
 ]
+
+
+def _require_finite(obj) -> None:
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if not math.isfinite(val):
+            raise ConfigError(f"{f.name} must be finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class RibbonGeometry:
     t: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.L1 > 0):
             raise ConfigError(f"L1 must be positive, got {self.L1}")
         if not (self.gamma_s > 1):
@@ -57,6 +65,7 @@ class Material:
     rho: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.E > 0):
             raise ConfigError(f"E must be positive, got {self.E}")
         if not (0 <= self.nu < 0.5):

@@ -27,7 +27,7 @@ class DegenerateAnchor(HcmError):
 
 
 class EigenFailure(HcmError):
-    """Buckling eigensolve found no positive eigenvalue or was singular."""
+    """Buckling found no positive finite critical load or no nodeless twist mode."""
 
 
 class TooCoarse(ConfigError):

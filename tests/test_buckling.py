@@ -18,9 +18,49 @@ def test_prebuckled_amplitude(pneumatic_geom):
     assert abs(np.max(pre.w) - pre.A_ini) < 1e-6 * pre.A_ini
 
 
+def _unit_eigenvalue_mp(n_grid, dps=40):
+    """lam_hat of tridiag(-1, 2, -1)*x = lam_hat*diag(sin^2(pi s_i))*x by inverse
+    iteration at dps digits, each step a tridiagonal (Thomas) solve."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m = n_grid - 2
+        x = [mpmath.sin(mpmath.pi * (i + 1) / (n_grid - 1)) for i in range(m)]
+        d = [v**2 for v in x]
+        # forward elimination of tridiag(-1, 2, -1), shared by every step
+        den = [mpmath.mpf(2)]
+        for _ in range(m - 1):
+            den.append(2 - 1 / den[-1])
+        lam = None
+        for _ in range(400):
+            g = []
+            for i in range(m):
+                g.append((d[i] * x[i] + (g[-1] if i else 0)) / den[i])
+            y = [g[-1]]
+            for i in range(m - 2, -1, -1):
+                y.append(g[i] + y[-1] / den[i])
+            x = [v / y[m // 2] for v in reversed(y)]
+            num = x[0] ** 2 + x[-1] ** 2 + sum((b - a) ** 2 for a, b in zip(x, x[1:]))
+            new = num / sum(di * xi**2 for di, xi in zip(d, x))
+            if lam is not None and abs(new - lam) < mpmath.mpf(10) ** (5 - dps) * new:
+                return new
+            lam = new
+    raise AssertionError("inverse iteration did not settle")
+
+
+@pytest.mark.parametrize("n_grid", [129, 257])
+def test_unit_eigenvalue_matches_mpmath(n_grid):
+    lam_hat, phi_hat = buckling._unit_mode(n_grid)
+    ref = _unit_eigenvalue_mp(n_grid)
+    assert abs(lam_hat / float(ref) - 1.0) <= 1e-14
+    assert phi_hat[0] == 0.0 and phi_hat[-1] == 0.0 and phi_hat.max() == 1.0
+
+
 def test_critical_load_reference_value(pneumatic_geom, plastic):
+    # 40-digit reference: 256*sqrt(lam_hat*GJ*EI)/(l*A_ini) = 1.874648463780188619804487 N,
+    # with lam_hat from _unit_eigenvalue_mp(257)
     mode = buckling.critical_load(pneumatic_geom, plastic)
-    assert abs(mode.P_cr - 1.8746484618588966) < 1e-9
+    assert abs(mode.P_cr - 1.8746484637801886) < 1e-12
 
 
 def test_closed_form_reference_value(pneumatic_geom, plastic):
@@ -52,10 +92,11 @@ def test_numeric_to_closed_form_ratio_is_universal(plastic):
         )
         mode = buckling.critical_load(g, plastic)
         ratios.append(mode.P_cr / buckling.critical_load_closed_form(g, plastic))
-    # n_grid = 257 discretization error varies slightly with beta, so the
-    # observed spread sits near 3e-9 rather than machine epsilon
-    assert max(ratios) - min(ratios) < 1e-7
-    assert abs(ratios[0] - 0.8111733981847598) < 1e-7
+    # every design rescales the same cached unit eigenvalue, so only rounding
+    # separates the ratios; 256*sqrt(lam_hat)/(pi*sqrt(2)) at 40 digits is
+    # 0.8111733990161161
+    assert max(ratios) - min(ratios) < 1e-13
+    assert abs(ratios[0] - 0.8111733990161161) < 1e-12
 
 
 def test_mode_normalization_and_shape(pneumatic_geom, plastic):
@@ -96,3 +137,10 @@ def test_monostable_raises(plastic):
 def test_tiny_grid_rejected(pneumatic_geom, plastic):
     with pytest.raises(EigenFailure):
         buckling.critical_load(pneumatic_geom, plastic, n_grid=32)
+
+
+def test_underflowing_design_raises_eigen_failure(plastic):
+    # l = 7e-163 m: l*A_ini underflows to 0, and no division by zero escapes
+    g = core.RibbonGeometry(L1=1e-163, gamma_s=6.0, theta=0.0, h=15e-3, t=0.4e-3)
+    with pytest.raises(EigenFailure, match="critical load"):
+        buckling.critical_load(g, plastic)

@@ -200,7 +200,7 @@ def test_calibrate_writes_artifact(tmp_path):
     res = run_cli(["calibrate", "--config", PNEU, "--psi-l-deg", "39", "--out", str(tmp_path)])
     assert res.returncode == 0
     payload = json.loads((tmp_path / "calibration.json").read_text())
-    assert abs(payload["c_psi"] - 0.16315471185527639) < 1e-12
+    assert abs(payload["c_psi"] - 0.1631547116880835) < 1e-12
     res2 = run_cli(["calibrate", "--config", PNEU, "--psi-l-deg", "-5", "--out", str(tmp_path)])
     assert res2.returncode == 2
 
@@ -219,6 +219,34 @@ def test_cli_import_leaves_out_scipy_integrate():
     res = run_python(["-c", "import sys, hcmkit.cli; print('scipy.integrate' in sys.modules)"])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the oracle solves with scipy.optimize; it imports it on first use
+    res = run_python(["-c", "import sys, hcmkit.cli; print('scipy.optimize' in sys.modules)"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_analyze_is_independent_of_blas_threads():
+    # the default child drops every thread-count variable, so OpenBLAS uses all cores
+    script = (
+        "import os, sys; {}; "
+        "from hcmkit import config, postbuckle; "
+        "cfg = config.load_config(sys.argv[1]); "
+        "res = postbuckle.analyze(cfg.geom, cfg.mat, postbuckle.load_calibration(), "
+        "cfg.options.n_grid, cfg.options.corrected_torsion); "
+        "print(repr(res.P_cr), repr(res.psi_l))"
+    )
+    one = "os.environ['OPENBLAS_NUM_THREADS'] = '1'"
+    default = (
+        "[os.environ.pop(k, None) for k in "
+        "('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')]"
+    )
+    outs = [run_python(["-c", script.format(setup), PNEU]) for setup in (one, default)]
+    for res in outs:
+        assert res.returncode == 0, res.stderr
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_missing_config_exits_2():

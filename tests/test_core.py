@@ -74,6 +74,20 @@ def test_material_validation():
         core.Material(E=1e9, nu=0.35, rho=0.0)
 
 
+GEOM = dict(L1=12.5e-3, gamma_s=6.0, theta=0.0, h=15e-3, t=0.4e-3)
+MAT = dict(E=1e9, nu=0.35, rho=1200.0)
+
+
+@pytest.mark.parametrize(
+    "cls, base", [(core.RibbonGeometry, GEOM), (core.Material, MAT)], ids=["geometry", "material"]
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_fields_rejected(cls, base, value):
+    for name in base:
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            cls(**{**base, name: value})
+
+
 def test_steep_fold_needs_large_negative_theta():
     # near-centered kink: asin(1/1.05) = 72.2 deg, so even theta = -80 deg kills it
     g = core.RibbonGeometry(L1=12.5e-3, gamma_s=1.05, theta=math.radians(-80.0), h=15e-3, t=0.4e-3)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .buckling import MIN_N_GRID
-from .core import MATERIAL_PRESETS, Material, RibbonGeometry
+from .core import MATERIAL_PRESETS, Material, RibbonGeometry, derive_lengths
 from .errors import ConfigError
 from .snapdyn import DAMPING_PRESETS
 from .swim import DEFAULT_K_DRAG, Waveform
@@ -74,13 +74,24 @@ def _parse_geometry(block) -> RibbonGeometry:
     if not isinstance(block, dict):
         raise ConfigError("geometry must be an object")
     _check_keys(block, ("L1_mm", "gamma_s", "theta_deg", "h_mm", "t_mm"), "geometry")
-    return RibbonGeometry(
+    geom = RibbonGeometry(
         L1=_number(block, "L1_mm", "geometry") * 1e-3,
         gamma_s=_number(block, "gamma_s", "geometry"),
         theta=math.radians(_number(block, "theta_deg", "geometry")),
         h=_number(block, "h_mm", "geometry") * 1e-3,
         t=_number(block, "t_mm", "geometry") * 1e-3,
     )
+    # The model squares the blank length 2l and cubes l and t: a float power
+    # that overflows raises, and an inertia l^3 that underflows divides by 0.
+    two_l = derive_lengths(geom)["two_l"]
+    if not sys.float_info.min <= two_l * two_l * two_l < math.inf:
+        raise ConfigError(
+            f"fields geometry.L1_mm and geometry.gamma_s give a blank length of {two_l:.6g} m, "
+            "whose cube is out of the float range"
+        )
+    if not math.isfinite(geom.t * geom.t * geom.t):
+        raise ConfigError(f"field geometry.t_mm is too large to cube, got {block['t_mm']!r}")
+    return geom
 
 
 def _parse_material(block):
@@ -94,8 +105,12 @@ def _parse_material(block):
     if not isinstance(block, dict):
         raise ConfigError("material must be a preset name or an object")
     _check_keys(block, ("E_GPa", "nu", "rho_kg_m3"), "material")
+    E_GPa = _number(block, "E_GPa", "material")
+    # The only unit conversion that scales up: 1e300 GPa is finite, 1e309 Pa is not.
+    if not math.isfinite(E_GPa * 1e9):
+        raise ConfigError(f"field material.E_GPa must be finite in Pa, got {E_GPa!r} GPa")
     mat = Material(
-        E=_number(block, "E_GPa", "material") * 1e9,
+        E=E_GPa * 1e9,
         nu=_number(block, "nu", "material"),
         rho=_number(block, "rho_kg_m3", "material"),
     )
@@ -169,6 +184,10 @@ def _parse_hydro(block) -> HydroBlock | None:
         ref_speed = _number(ref, "speed_cm_s", "hydro.reference") * 1e-2
         if ref_speed <= 0.0:
             raise ConfigError("hydro.reference.speed_cm_s must be positive")
+        if not math.isfinite(ref_speed * ref_speed):  # the thrust fit squares it
+            raise ConfigError(
+                f"field hydro.reference.speed_cm_s is too large to square, got {ref['speed_cm_s']!r}"
+            )
     return HydroBlock(
         mass=mass,
         body_length=body_length,

@@ -27,7 +27,7 @@ class DegenerateAnchor(HcmError):
 
 
 class EigenFailure(HcmError):
-    """Buckling found no positive finite critical load or no nodeless twist mode."""
+    """Buckling found no positive finite critical load, or its unit mode did not converge."""
 
 
 class TooCoarse(ConfigError):

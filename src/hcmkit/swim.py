@@ -75,6 +75,8 @@ class Waveform:
             msr = math.inf
         if not math.isfinite(msr):
             raise ConfigError(f"mean-square tip rate is not finite at {self.frequency:.6g} Hz")
+        if msr == 0.0 and self.amplitude > 0.0:
+            raise ConfigError(f"mean-square tip rate underflows to 0 at {self.frequency:.6g} Hz")
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,13 @@ def fit_hydro(
     msr = mean_square_tip_rate(reference_waveform)
     if msr <= 0.0:
         raise ConfigError("reference waveform has zero mean-square tip rate")
-    return HydroFit(k_thrust=k_drag * reference_speed**2 / msr, k_drag=k_drag, mass=mass)
+    k_thrust = k_drag * reference_speed**2 / msr
+    if not 0.0 < k_thrust < math.inf:
+        raise ConfigError(
+            f"thrust coefficient {k_thrust:.6g} from the reference speed, k_drag and waveform "
+            "is not a positive finite number"
+        )
+    return HydroFit(k_thrust=k_thrust, k_drag=k_drag, mass=mass)
 
 
 def steady_speed(hydro: HydroFit, msr: float) -> float:

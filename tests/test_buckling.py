@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ def test_prebuckled_amplitude(pneumatic_geom):
     assert abs(np.max(pre.w) - pre.A_ini) < 1e-6 * pre.A_ini
 
 
+@functools.lru_cache(maxsize=None)
 def _unit_eigenvalue_mp(n_grid, dps=40):
-    """lam_hat of tridiag(-1, 2, -1)*x = lam_hat*diag(sin^2(pi s_i))*x by inverse
+    """lam_hat and the interior mode (scaled to 1 at mid-span, where it peaks)
+    of tridiag(-1, 2, -1)*x = lam_hat*diag(sin^2(pi s_i))*x by inverse
     iteration at dps digits, each step a tridiagonal (Thomas) solve."""
     import mpmath
 
@@ -43,7 +46,7 @@ def _unit_eigenvalue_mp(n_grid, dps=40):
             num = x[0] ** 2 + x[-1] ** 2 + sum((b - a) ** 2 for a, b in zip(x, x[1:]))
             new = num / sum(di * xi**2 for di, xi in zip(d, x))
             if lam is not None and abs(new - lam) < mpmath.mpf(10) ** (5 - dps) * new:
-                return new
+                return new, x
             lam = new
     raise AssertionError("inverse iteration did not settle")
 
@@ -51,9 +54,36 @@ def _unit_eigenvalue_mp(n_grid, dps=40):
 @pytest.mark.parametrize("n_grid", [129, 257])
 def test_unit_eigenvalue_matches_mpmath(n_grid):
     lam_hat, phi_hat = buckling._unit_mode(n_grid)
-    ref = _unit_eigenvalue_mp(n_grid)
+    ref, _ = _unit_eigenvalue_mp(n_grid)
     assert abs(lam_hat / float(ref) - 1.0) <= 1e-14
     assert phi_hat[0] == 0.0 and phi_hat[-1] == 0.0 and phi_hat.max() == 1.0
+
+
+@pytest.mark.parametrize("n_grid", [129, 257])
+def test_unit_mode_matches_mpmath(n_grid):
+    # the eigenvalue converges twice as fast as the mode, so this is the
+    # sharper check; the LAPACK mode was 4.9e-14 / 2.4e-14 off here
+    _, phi_hat = buckling._unit_mode(n_grid)
+    _, ref = _unit_eigenvalue_mp(n_grid)
+    assert np.max(np.abs(phi_hat[1:-1] - np.array([float(v) for v in ref]))) <= 2e-15
+
+
+@pytest.mark.parametrize("n_grid", [64, 4097])
+def test_unit_mode_matches_lapack(n_grid):
+    # the sizes the mpmath reference is too slow for: the symmetrised pencil
+    # D^-1/2*T*D^-1/2 by LAPACK, whose own mode error at 4097 is about 4.5e-12
+    import scipy.linalg
+
+    lam_hat, phi_hat = buckling._unit_mode(n_grid)
+    d = np.sin(np.pi * np.linspace(0.0, 1.0, n_grid)[1:-1]) ** 2
+    _, vecs = scipy.linalg.eigh_tridiagonal(
+        2.0 / d, -1.0 / np.sqrt(d[:-1] * d[1:]), select="i", select_range=(0, 0)
+    )
+    ref = np.abs(vecs[:, 0]) / np.sqrt(d)
+    ref /= ref.max()
+    ref_lam = np.sum(np.diff(ref, prepend=0.0, append=0.0) ** 2) / np.sum(d * ref**2)
+    assert abs(lam_hat / ref_lam - 1.0) <= 1e-15
+    assert np.max(np.abs(phi_hat[1:-1] - ref)) <= 1e-11
 
 
 def test_critical_load_reference_value(pneumatic_geom, plastic):

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcmkit import config
+from hcmkit import cli, config
 from hcmkit.errors import ConfigError
 
 from conftest import CONFIGS
@@ -94,6 +100,14 @@ def test_options_overrides(tmp_path):
         (lambda p: p["geometry"].update(h_mm=math.inf), "h_mm"),
         (lambda p: p["geometry"].update(theta_deg=math.nan), "theta_deg"),
         (lambda p: p["geometry"].update(t_mm=10**400), "t_mm"),
+        (lambda p: p.update(material={"E_GPa": 1e300, "nu": 0.4, "rho_kg_m3": 1e3}),
+         "material.E_GPa"),
+        (lambda p: p["geometry"].update(L1_mm=1e300), "geometry.L1_mm"),
+        (lambda p: p["geometry"].update(L1_mm=1e-150), "geometry.gamma_s"),
+        (lambda p: p["geometry"].update(h_mm=1e120, t_mm=1e110), "geometry.t_mm"),
+        (lambda p: p.update(hydro={"mass_kg": 0.1, "body_length_cm": 20.0, "reference": {
+            "kind": "sinusoid", "amplitude_deg": 40.0, "frequency_hz": 1.0, "speed_cm_s": 1e300}}),
+         "reference.speed_cm_s"),
         (lambda p: p.update(options={"damping": {"air": math.inf}}), "damping.air"),
     ],
 )
@@ -127,3 +141,51 @@ def test_geometry_limits_surface_as_config_errors(tmp_path):
     payload["geometry"]["gamma_s"] = 0.5
     with pytest.raises(ConfigError, match="gamma_s"):
         config.load_config(_write(tmp_path, payload))
+
+
+def _key_paths(node, prefix=()):
+    """Every key path into a nested JSON object, blocks and leaves alike."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(child, prefix + (key,))
+
+
+_HOSTILE = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0, 0.0, -0.0, None, True, "", "12", [], {}]),
+    st.integers(min_value=10**300, max_value=10**400),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-300, allow_nan=False),
+    st.floats(min_value=1e300, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))), data=st.data())
+def test_config_mutations_never_end_in_internal_error(name, data):
+    # drop keys, change types, insert non-finite, huge and negative numbers;
+    # each command must then succeed or fail with a named error
+    payload = json.loads((CONFIGS / name).read_text())
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="mutations")):
+        paths = list(_key_paths(payload))
+        if not paths:
+            break
+        *parent_keys, key = data.draw(st.sampled_from(paths), label="path")
+        parent = payload
+        for k in parent_keys:
+            parent = parent[k]
+        if data.draw(st.booleans(), label="drop"):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_HOSTILE, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        for command in (["analyze"], ["swim", "--compare"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*command, "--config", path])
+            assert code in (0, 2, 3), (command, payload, err.getvalue())
+            assert "internal error" not in err.getvalue(), (command, payload, err.getvalue())

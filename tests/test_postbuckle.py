@@ -25,8 +25,9 @@ def test_energy_barrier_worked_example_with_closed_form_load(pneumatic_geom, pla
 
 
 def test_calibration_anchor_roundtrip(pneumatic_geom, plastic, calibration):
-    # 40-digit reference: 0.1631547116880822 (exact unit eigenpair and trapezoid)
-    assert abs(calibration.C_psi - 0.1631547116880835) < 1e-12
+    # 40-digit reference (exact unit eigenpair and trapezoid, at the float
+    # beta and nu): 0.16315471168808223728
+    assert abs(calibration.C_psi / 0.16315471168808224 - 1.0) <= 2e-15
     res = postbuckle.analyze(pneumatic_geom, plastic, calibration)
     assert abs(math.degrees(res.psi_l) - 39.0) < 1e-9
     assert res.psi_eq == res.psi_l

@@ -48,6 +48,12 @@ def test_fit_and_tethered_prediction():
     assert 0.22 <= v_bist <= 0.31
 
 
+def test_fit_refuses_a_thrust_coefficient_that_underflows():
+    # k_drag*v^2/msr is 0 here, which would make every predicted speed 0
+    with pytest.raises(ConfigError, match="thrust coefficient"):
+        swim.fit_hydro(SINE_REF, 1e-200, mass=0.0425)
+
+
 def test_untethered_prediction_with_tethered_fit():
     fit = swim.fit_hydro(SINE_REF, 0.1310, mass=0.0425)
     unt = swim.Waveform(kind="bistable", amplitude=math.radians(34.0), frequency=3.0, snap_time=0.050)
@@ -117,6 +123,8 @@ def test_waveform_validation():
     with pytest.raises(ConfigError, match="not finite"):
         # the squared tip rate overflows the float range
         swim.Waveform(kind="sinusoid", amplitude=0.5, frequency=1e200)
+    with pytest.raises(ConfigError, match="underflows"):
+        swim.Waveform(kind="sinusoid", amplitude=0.5, frequency=1e-300)
 
 
 def test_series_guards():

@@ -8,7 +8,13 @@ the minimal smooth potential with two equal wells at +-psi_eq separated by a
 barrier U_barr. The tip angle carries an effective rotational inertia I_eff
 and linear damping c = 2*zeta*sqrt(I_eff * U''(psi_eq)), with zeta the
 medium's damping ratio relative to the small-oscillation well frequency.
-Integration is classical fixed-step RK4 so traces are bit-reproducible.
+
+With x = psi/psi_eq and s = omega_well*t the equation of motion reads
+x'' = x*(1 - x^2)/2 - 2*zeta*x', with no design parameter in it. One
+fixed-step RK4 kernel integrates that form, so traces are bit-reproducible,
+and every trace is its unit solution scaled to the design. A triggered snap
+starts from the same unit state for every design, so its unit solution
+depends on zeta alone; those of the preset damping ratios are kept.
 """
 
 from __future__ import annotations
@@ -79,56 +85,99 @@ def effective_inertia(geom: RibbonGeometry, mat: Material) -> float:
     return mat.rho * geom.h * geom.t * l**3 / 3.0
 
 
+def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
+    """n fixed RK4 steps of ds on x'' = 0.5*x*(1 - x^2) - 2*zeta*x' from (x0, v0).
+
+    Returns the n+1 samples of x and x' as float64 arrays.
+    """
+    x = np.empty(n + 1)
+    v = np.empty(n + 1)
+    xs = memoryview(x)
+    vs = memoryview(v)
+    xs[0] = p = x0
+    vs[0] = q = v0
+    c = 2.0 * zeta
+    h = 0.5 * ds
+    w = ds / 6.0
+    for i in range(1, n + 1):
+        a1 = 0.5 * p * (1.0 - p * p) - c * q
+        p2 = p + h * q
+        q2 = q + h * a1
+        a2 = 0.5 * p2 * (1.0 - p2 * p2) - c * q2
+        p3 = p + h * q2
+        q3 = q + h * a2
+        a3 = 0.5 * p3 * (1.0 - p3 * p3) - c * q3
+        p4 = p + ds * q3
+        q4 = q + ds * a3
+        a4 = 0.5 * p4 * (1.0 - p4 * p4) - c * q4
+        p += w * (q + 2.0 * (q2 + q3) + q4)
+        q += w * (a1 + 2.0 * (a2 + a3) + a4)
+        xs[i] = p
+        vs[i] = q
+    return x, v
+
+
+def _scaled_trace(well: DoubleWell, x: np.ndarray, v: np.ndarray, dt: float) -> SnapTrace:
+    """SnapTrace of the unit solution (x, x') sampled every dt seconds.
+
+    psi and psi_dot are written over x and v unless those are read-only.
+    Raises NonFinite on overflow and, for zeta = 0, StepTooLarge if the total
+    energy drifts more than 5% of U_barr.
+    """
+    if not (math.isfinite(x[-1]) and math.isfinite(v[-1])):
+        raise NonFinite("snap integration overflowed; reduce dt")
+    U = well.U_barr
+    # 0.5*I_eff*psi_dot^2 = 4*U_barr*v^2, since I_eff*omega^2*psi_eq^2 = 8*U_barr.
+    kinetic = np.square(v)
+    kinetic *= 4.0 * U
+    potential = np.square(x)
+    potential -= 1.0
+    np.square(potential, out=potential)
+    potential *= U
+    if well.zeta == 0.0:
+        energy = kinetic + potential
+        drift = np.max(np.abs(energy - energy[0]))
+        if drift > 0.05 * U:
+            raise StepTooLarge(f"undamped energy drift {drift / U:.3g} of U_barr exceeds 5%")
+    omega = well.omega_well
+    psi = np.multiply(x, well.psi_eq, out=x if x.flags.writeable else None)
+    psi_dot = np.multiply(v, omega * well.psi_eq, out=v if v.flags.writeable else None)
+    time = np.arange(x.size, dtype=np.float64)
+    time *= dt
+    return SnapTrace(time=time, psi=psi, psi_dot=psi_dot, kinetic=kinetic, potential=potential)
+
+
 def simulate_snap(
     well: DoubleWell, psi0: float, psi_dot0: float, dt: float, T: float
 ) -> SnapTrace:
     """Integrate I_eff*psi'' = -U'(psi) - c*psi_dot from (psi0, psi_dot0).
 
-    Fixed-step RK4; raises StepTooLarge if an undamped run drifts more than
-    5% of U_barr in total energy, NonFinite on overflow.
+    Runs the dimensionless kernel from x0 = psi0/psi_eq, v0 =
+    psi_dot0/(omega_well*psi_eq) with step omega_well*dt, and scales the
+    samples back. Raises StepTooLarge if an undamped run drifts more than 5%
+    of U_barr in total energy, NonFinite on overflow.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = int(round(T / dt))
     if n < 10:
         raise ValueError("T must cover at least 10 steps")
-    c = 2.0 * well.zeta * math.sqrt(well.I_eff * 8.0 * well.U_barr / well.psi_eq**2)
-    inv_I = 1.0 / well.I_eff
+    omega = well.omega_well
+    x, v = _rk4(well.zeta, psi0 / well.psi_eq, psi_dot0 / (omega * well.psi_eq), omega * dt, n)
+    return _scaled_trace(well, x, v, dt)
 
-    psi = np.empty(n + 1)
-    vel = np.empty(n + 1)
-    psi[0] = psi0
-    vel[0] = psi_dot0
-    p, v = psi0, psi_dot0
-    for i in range(n):
-        a1 = (-well.dU(p) - c * v) * inv_I
-        p2 = p + 0.5 * dt * v
-        v2 = v + 0.5 * dt * a1
-        a2 = (-well.dU(p2) - c * v2) * inv_I
-        p3 = p + 0.5 * dt * v2
-        v3 = v + 0.5 * dt * a2
-        a3 = (-well.dU(p3) - c * v3) * inv_I
-        p4 = p + dt * v3
-        v4 = v + dt * a3
-        a4 = (-well.dU(p4) - c * v4) * inv_I
-        p = p + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        psi[i + 1] = p
-        vel[i + 1] = v
 
-    if not (math.isfinite(p) and math.isfinite(v)):
-        raise NonFinite("snap integration overflowed; reduce dt")
-
-    time = dt * np.arange(n + 1)
-    kinetic = 0.5 * well.I_eff * vel**2
-    potential = well.potential(psi)
-    if well.zeta == 0.0:
-        drift = np.max(np.abs(kinetic + potential - (kinetic[0] + potential[0])))
-        if drift > 0.05 * well.U_barr:
-            raise StepTooLarge(
-                f"undamped energy drift {drift / well.U_barr:.3g} of U_barr exceeds 5%"
-            )
-    return SnapTrace(time=time, psi=psi, psi_dot=vel, kinetic=kinetic, potential=potential)
+def _first_crossing(psi: np.ndarray, level: float) -> int:
+    """Index j of the first sample pair with psi[j] and psi[j+1] on opposite
+    sides of level, or either one on it."""
+    le = psi <= level
+    ge = psi >= level
+    hit = le[:-1] & ge[1:]
+    hit |= ge[:-1] & le[1:]
+    j = int(np.argmax(hit))
+    if not hit[j]:
+        raise NoCrossing(f"trace never reached level {level:.6g}")
+    return j
 
 
 def snap_duration(trace: SnapTrace, psi_eq: float) -> float:
@@ -143,26 +192,35 @@ def snap_duration(trace: SnapTrace, psi_eq: float) -> float:
     t = trace.time
     # Destination well: side of the last sample well clear of the barrier top
     # (final sample alone can sit mid-oscillation near zero).
-    clear = np.nonzero(np.abs(psi) >= 0.5 * psi_eq)[0]
-    ref = psi[clear[-1]] if clear.size else psi[-1]
+    clear = psi >= 0.5 * psi_eq
+    clear |= psi <= -0.5 * psi_eq
+    last = clear.size - 1 - int(np.argmax(clear[::-1]))
+    ref = psi[last] if clear[last] else psi[-1]
     if math.copysign(1.0, ref) == math.copysign(1.0, psi[0]):
         raise NoCrossing("trace never left the starting well")
     dest = math.copysign(psi_eq, ref)
     travel = dest - psi[0]
 
-    def first_crossing(level: float) -> float:
-        s = (psi[:-1] - level) * (psi[1:] - level)
-        hits = np.nonzero(s <= 0.0)[0]
-        if hits.size == 0:
-            raise NoCrossing(f"trace never reached level {level:.6g}")
-        j = int(hits[0])
+    def crossing_time(level: float) -> float:
+        j = _first_crossing(psi, level)
         if psi[j + 1] == psi[j]:
             return t[j]
         return t[j] + (level - psi[j]) / (psi[j + 1] - psi[j]) * (t[j + 1] - t[j])
 
-    t10 = first_crossing(psi[0] + 0.1 * travel)
-    t90 = first_crossing(psi[0] + 0.9 * travel)
-    return t90 - t10
+    return crossing_time(psi[0] + 0.9 * travel) - crossing_time(psi[0] + 0.1 * travel)
+
+
+# The unit snap: the start a triggered snap has in units of psi_eq and
+# omega_well, 2000 steps per well period over 120 periods.
+_UNIT_X0 = -1e-3
+_UNIT_V0 = 1e-2
+_UNIT_DS = 2.0 * math.pi / 2000
+_UNIT_STEPS = 240_000
+
+# Read-only unit snaps (x, x') of the preset damping ratios, filled on first
+# use. Its keys are DAMPING_PRESETS' values, so it holds at most two entries
+# (7.7 MB); every other zeta is integrated on each call.
+_PRESET_SNAPS: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def triggered_snap(well: DoubleWell) -> SnapTrace:
@@ -173,12 +231,17 @@ def triggered_snap(well: DoubleWell) -> SnapTrace:
     below the barrier top; the trace starts at psi = -1e-3*psi_eq moving
     toward the far well at 1e-2*omega_well*psi_eq (kinetic energy 4e-4*U_barr,
     negligible against the barrier), crosses psi = 0, and falls into +psi_eq.
+
+    In x = psi/psi_eq and s = omega_well*t that start and the equation of
+    motion hold no design parameter, so the unit snap depends on zeta alone:
+    it is integrated once per call, or once per process for a preset zeta,
+    and scaled to the design.
     """
-    period = 2.0 * math.pi / well.omega_well
-    return simulate_snap(
-        well,
-        psi0=-1e-3 * well.psi_eq,
-        psi_dot0=1e-2 * well.omega_well * well.psi_eq,
-        dt=period / 2000,
-        T=120.0 * period,
-    )
+    xv = _PRESET_SNAPS.get(well.zeta)
+    if xv is None:
+        xv = _rk4(well.zeta, _UNIT_X0, _UNIT_V0, _UNIT_DS, _UNIT_STEPS)
+        if well.zeta in DAMPING_PRESETS.values():
+            for a in xv:
+                a.flags.writeable = False
+            _PRESET_SNAPS[well.zeta] = xv
+    return _scaled_trace(well, *xv, _UNIT_DS / well.omega_well)

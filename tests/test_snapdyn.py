@@ -7,15 +7,27 @@ from hcmkit import core, postbuckle, snapdyn
 from hcmkit.errors import NoCrossing, NonFinite, StepTooLarge
 
 
-@pytest.fixture(scope="module")
-def pneumatic_well(pneumatic_geom, plastic, calibration):
-    res = postbuckle.analyze(pneumatic_geom, plastic, calibration)
-    I_eff = snapdyn.effective_inertia(pneumatic_geom, plastic)
+def _well_maker(geom, mat, calibration):
+    res = postbuckle.analyze(geom, mat, calibration)
+    I_eff = snapdyn.effective_inertia(geom, mat)
 
     def make(zeta):
         return snapdyn.DoubleWell(U_barr=res.U_barr, psi_eq=res.psi_eq, I_eff=I_eff, zeta=zeta)
 
     return make
+
+
+@pytest.fixture(scope="module")
+def pneumatic_well(pneumatic_geom, plastic, calibration):
+    return _well_maker(pneumatic_geom, plastic, calibration)
+
+
+@pytest.fixture(scope="module")
+def untethered_well(plastic, calibration):
+    geom = core.RibbonGeometry(
+        L1=29e-3, gamma_s=2.0, theta=math.radians(-23.5), h=15e-3, t=0.762e-3
+    )
+    return _well_maker(geom, plastic, calibration)
 
 
 def test_snap_timescales(pneumatic_geom, plastic):
@@ -67,6 +79,11 @@ def test_energy_conservation_undamped(pneumatic_geom, plastic, pneumatic_well):
 
 def _measured_duration(well):
     return snapdyn.snap_duration(snapdyn.triggered_snap(well), well.psi_eq)
+
+
+def _tau(zeta):
+    """omega_well * (10-90% duration) of a triggered snap, on a well with omega_well = 1."""
+    return _measured_duration(snapdyn.DoubleWell(U_barr=1.0, psi_eq=1.0, I_eff=8.0, zeta=zeta))
 
 
 def test_triggered_snap_durations(pneumatic_well):
@@ -143,3 +160,74 @@ def test_damped_trace_settles_in_far_well(pneumatic_well):
     well = pneumatic_well(0.8)
     assert abs(tr.psi[-1] - well.psi_eq) < 1e-3 * well.psi_eq
     assert abs(tr.psi_dot[-1]) < 1e-4 * well.omega_well * well.psi_eq
+
+
+@pytest.mark.parametrize("zeta", [0.05, 0.3])
+def test_triggered_snap_is_design_free(pneumatic_well, untethered_well, zeta):
+    a, b = pneumatic_well(zeta), untethered_well(zeta)
+    assert a.U_barr != b.U_barr and a.psi_eq != b.psi_eq and a.I_eff != b.I_eff
+    ta, tb = snapdyn.triggered_snap(a), snapdyn.triggered_snap(b)
+    np.testing.assert_allclose(ta.psi / a.psi_eq, tb.psi / b.psi_eq, rtol=1e-15, atol=0.0)
+    tau_a = snapdyn.snap_duration(ta, a.psi_eq) * a.omega_well
+    tau_b = snapdyn.snap_duration(tb, b.psi_eq) * b.omega_well
+    assert abs(tau_a - tau_b) <= 1e-13
+
+
+def test_air_tau_matches_dop853_reference():
+    # perfbench/refs.py::snap_tau(0.05): scipy DOP853 at rtol 1e-12, atol 1e-14
+    assert abs(_tau(0.05) - 3.5502521912) <= 1e-8
+
+
+@pytest.mark.parametrize("zeta", [0.05, 0.3])
+def test_writing_a_returned_trace_leaves_the_next_one_alone(pneumatic_well, zeta):
+    well = pneumatic_well(zeta)
+    first = snapdyn.triggered_snap(well)
+    psi, psi_dot = first.psi.copy(), first.psi_dot.copy()
+    first.psi[:] = 0.0
+    first.psi_dot[:] = 0.0
+    again = snapdyn.triggered_snap(well)
+    assert np.array_equal(again.psi, psi)
+    assert np.array_equal(again.psi_dot, psi_dot)
+
+
+def test_preset_memo_holds_only_the_presets(pneumatic_well):
+    for zeta in (*snapdyn.DAMPING_PRESETS.values(), 0.11, 0.22, 0.33):
+        snapdyn.triggered_snap(pneumatic_well(zeta))
+    memo = snapdyn._PRESET_SNAPS
+    assert len(memo) <= 2
+    assert set(memo) <= set(snapdyn.DAMPING_PRESETS.values())
+    assert not any(a.flags.writeable for xv in memo.values() for a in xv)
+
+
+def test_crossings_match_the_product_form(pneumatic_well):
+    t = np.linspace(0.0, 1.0, 10001)
+    traces = [snapdyn.triggered_snap(pneumatic_well(z)).psi for z in (0.05, 0.8, 1.3)]
+    traces += [-0.5 + t, 0.5 - t]
+    for psi in traces:
+        travel = psi[-1] - psi[0]
+        levels = [psi[0] + f * travel for f in (0.1, 0.5, 0.9)] + [psi[77], psi[5000]]
+        for level in levels:
+            product = (psi[:-1] - level) * (psi[1:] - level)
+            assert snapdyn._first_crossing(psi, level) == np.flatnonzero(product <= 0.0)[0]
+
+
+# The strict xfails above restated as facts of zeta alone, tau(zeta) being
+# omega_well times the snap duration.
+
+
+def test_water_air_ratio_is_tau_ratio(pneumatic_well, untethered_well):
+    for make in (pneumatic_well, untethered_well):
+        ratio = _measured_duration(make(0.8)) / _measured_duration(make(0.05))
+        assert abs(ratio - _tau(0.8) / _tau(0.05)) <= 1e-12
+
+
+def test_half_critical_ratio_is_1_970():
+    assert abs(_tau(0.5) / _tau(0.05) - 1.970) <= 5e-4
+
+
+def test_transit_factor_is_tau_over_omega_t_star(pneumatic_geom, plastic, pneumatic_well):
+    well = pneumatic_well(0.05)
+    t_star = snapdyn.snap_timescale(pneumatic_geom, plastic)
+    factor = _tau(0.05) / (well.omega_well * t_star)
+    assert abs(_measured_duration(well) / t_star - factor) <= 1e-12
+    assert abs(factor - 0.072) <= 5e-4

@@ -3,7 +3,7 @@
 The package covers the full chain from ribbon geometry to swimming speed:
 
 - core: geometry, materials, section properties, the bistability margin
-- buckling: pre-buckled shape and the torsional buckling eigenproblem
+- buckling: the torsional buckling eigenproblem of the pre-buckled ribbon
 - postbuckle: tip angle, energy barrier, calibration bookkeeping
 - snapdyn: lumped double-well snap-through dynamics
 - oracle: independent discrete-chain minimization cross-check
@@ -13,10 +13,8 @@ The package covers the full chain from ribbon geometry to swimming speed:
 
 from .buckling import (
     BucklingMode,
-    PrebuckledShape,
     critical_load,
     critical_load_closed_form,
-    prebuckled_inplane_shape,
 )
 from .core import (
     MATERIAL_PRESETS,
@@ -82,7 +80,6 @@ __all__ = [
     "NonFinite",
     "NotBistable",
     "NotCalibrated",
-    "PrebuckledShape",
     "RibbonGeometry",
     "SectionProperties",
     "SnapTrace",
@@ -97,7 +94,6 @@ __all__ = [
     "effective_inertia",
     "energy_barrier",
     "load_calibration",
-    "prebuckled_inplane_shape",
     "save_calibration",
     "section_properties",
     "simulate_snap",

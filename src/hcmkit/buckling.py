@@ -32,9 +32,7 @@ from .core import Material, RibbonGeometry, bistability_margin, derive_lengths, 
 from .errors import EigenFailure, NotBistable
 
 __all__ = [
-    "PrebuckledShape",
     "BucklingMode",
-    "prebuckled_inplane_shape",
     "critical_load",
     "critical_load_closed_form",
 ]
@@ -44,29 +42,19 @@ MAX_STEPS = 40  # inverse-iteration cap; no n_grid from 64 to 4097 needs more th
 
 
 @dataclass(frozen=True)
-class PrebuckledShape:
-    """In-plane deflection of the assembled (flattened-kink) ribbon."""
-
-    A_ini: float
-    z: np.ndarray
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
 class BucklingMode:
     """Critical load plus the sampled fundamental twist mode phi(z).
 
     phi = beta*phi_hat rescales the cached unit mode: dimensionless, pinned
     at both ends, positive inside (every inverse-iteration iterate is), and
-    scaled so max|phi| equals `normalization` (the released kink
-    rotation beta; linear buckling leaves the amplitude free, so the scale
-    is a convention absorbed downstream by the tip-angle calibration).
+    scaled so max|phi| equals the released kink rotation beta (linear
+    buckling leaves the amplitude free, so the scale is a convention absorbed
+    downstream by the tip-angle calibration).
     """
 
     P_cr: float
     grid: np.ndarray
     phi: np.ndarray
-    normalization: float
 
 
 def _kink(geom: RibbonGeometry) -> tuple[float, float, float]:
@@ -76,20 +64,6 @@ def _kink(geom: RibbonGeometry) -> tuple[float, float, float]:
         raise NotBistable(f"beta = {margin['beta']:.6g} rad; design is mono-stable")
     l = derive_lengths(geom)["l"]
     return margin["beta"], l, (l / math.pi) * math.sin(margin["beta"])
-
-
-def prebuckled_inplane_shape(geom: RibbonGeometry, n_samples: int = 129) -> PrebuckledShape:
-    """First-mode in-plane shape whose end slope equals the released kink rotation.
-
-    w(z) = A_ini*sin(pi z/l) with A_ini = (l/pi)*sin(beta), so w'(0) = sin(beta).
-    """
-    _, l, A_ini = _kink(geom)
-    z = np.linspace(0.0, l, n_samples)
-    w = A_ini * np.sin(math.pi * z / l)
-    # Endpoints are pinned; enforce exact zeros against roundoff.
-    w[0] = 0.0
-    w[-1] = 0.0
-    return PrebuckledShape(A_ini=A_ini, z=z, w=w)
 
 
 def _green_solve(f: np.ndarray) -> np.ndarray:
@@ -162,7 +136,7 @@ def critical_load(
     if not 0.0 < P_cr < math.inf:
         raise EigenFailure(f"no positive finite critical load (P_cr = {P_cr:.6g} N)")
     return BucklingMode(
-        P_cr=P_cr, grid=np.linspace(0.0, l, n_grid), phi=beta * phi_hat, normalization=beta
+        P_cr=P_cr, grid=np.linspace(0.0, l, n_grid), phi=beta * phi_hat
     )
 
 

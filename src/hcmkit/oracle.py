@@ -10,6 +10,13 @@ mirror-symmetric subspace (out-of-plane coordinates reflected about mid-span,
 which with the clamped base link forces psi_tip = 0) via a second ramped
 penalty.
 
+Each joint turns its link into the next by Rz(in-plane bend)*Ry(out-of-plane
+bend)*Rx(twist). Forward kinematics forms these joint rotations for all joints
+in one batched product, then chains them link by link; the gradient reads
+each joint's three rotation axes from the link frames. With no rest kink the
+wells converge, as O(1/n_links), to the pinned "teardrop" elastica, whose
+modulus solves 2E(k) = K(k); the tests use it as the exact reference.
+
 Internally everything is dimensionless (lengths in l, energies in EI_eta/l);
 results are reported in SI. The solve path is deterministic: fixed seeds,
 fixed stage schedules, no randomness.
@@ -55,19 +62,18 @@ SEED_ANGLE = 4e-3  # rad; out-of-plane mid-span kick, displaces distal half by ~
 GAP_TOL = 1e-4  # converged closure gap, in units of l
 
 
-def _rotz(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _rot(a, i, j):
+    """Rotations by the angles a in the (i, j) coordinate plane, shape (a.size, 3, 3).
 
-
-def _roty(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rotx(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    (0, 1), (2, 0) and (1, 2) give the rotations about z, y and x.
+    """
+    c, s = np.cos(a), np.sin(a)
+    r = np.zeros((a.size, 3, 3))
+    r[:, 0, 0] = r[:, 1, 1] = r[:, 2, 2] = 1.0
+    r[:, i, i] = r[:, j, j] = c
+    r[:, i, j] = -s
+    r[:, j, i] = s
+    return r
 
 
 @dataclass(frozen=True)
@@ -132,25 +138,24 @@ class _Solver:
         self.rest[ribbon.rest_kink_index] = ribbon.rest_kink_angle
 
     def fk(self, q):
-        m = self.m
-        b_in = q[:m]
-        b_out = q[m : 2 * m]
-        tau = q[2 * m :]
+        """Link frames R (n, 3, 3), nodes x (n + 1, 3) and the joints' in-plane-bent y axes.
+
+        Joint j turns link j into link j + 1 by Rz(b_in)*Ry(b_out)*Rx(tau);
+        its three rotation axes are R[j][:, 2], the returned y[j] and
+        R[j + 1][:, 0].
+        """
+        b_in, b_out, tau = q.reshape(3, self.m)
+        Rz = _rot(b_in, 0, 1)
+        L = Rz @ _rot(b_out, 2, 0) @ _rot(tau, 1, 2)
         R = np.empty((self.n, 3, 3))
         R[0] = np.eye(3)
-        axes = np.empty((m, 3, 3))
-        for j in range(m):
-            Rp = R[j]
-            axes[j, 0] = Rp[:, 2]
-            Rz = Rp @ _rotz(b_in[j])
-            axes[j, 1] = Rz[:, 1]
-            Rj = Rz @ _roty(b_out[j]) @ _rotx(tau[j])
-            axes[j, 2] = Rj[:, 0]
-            R[j + 1] = Rj
+        for j in range(self.m):
+            R[j + 1] = R[j] @ L[j]
+        y = np.einsum("mik,mk->mi", R[:-1], Rz[:, :, 1])
         x = np.empty((self.n + 1, 3))
         x[0] = 0.0
         np.cumsum(R[:, :, 0] * self.dl, axis=0, out=x[1:])
-        return R, x, axes
+        return R, x, y
 
     def energy_grad(self, q, k_pen, k_sad=0.0):
         """Elastic + penalty energy and its analytic gradient.
@@ -161,10 +166,8 @@ class _Solver:
         sums over node coefficients.
         """
         m, n = self.m, self.n
-        R, x, axes = self.fk(q)
-        b_in = q[:m]
-        b_out = q[m : 2 * m]
-        tau = q[2 * m :]
+        R, x, y = self.fk(q)
+        b_in, b_out, tau = q.reshape(3, m)
         d_in = b_in - self.rest
         Em = 0.5 * (
             self.k_in * d_in @ d_in + self.k_out * b_out @ b_out + self.k_tw * tau @ tau
@@ -195,9 +198,9 @@ class _Solver:
             zhat = np.array([0.0, 0.0, 1.0])
             Sx = S1[2 : n + 1] - S0[2 : n + 1, None] * p_all
             lever = lever + np.cross(Sx, zhat)
-        g[0] += np.einsum("mi,mi->m", axes[:, 0], lever)
-        g[1] += np.einsum("mi,mi->m", axes[:, 1], lever)
-        g[2] += np.einsum("mi,mi->m", axes[:, 2], lever)
+        g[0] += np.einsum("mi,mi->m", R[:-1, :, 2], lever)
+        g[1] += np.einsum("mi,mi->m", y, lever)
+        g[2] += np.einsum("mi,mi->m", R[1:, :, 0], lever)
         return E, Em, g.reshape(-1), gap, R, x
 
     def solve(self, q0, kp_stages, ks_stages=()):

@@ -51,13 +51,6 @@ class DoubleWell:
     I_eff: float
     zeta: float
 
-    def potential(self, psi):
-        x = (psi / self.psi_eq) ** 2 - 1.0
-        return self.U_barr * x * x
-
-    def dU(self, psi):
-        return 4.0 * self.U_barr * psi * (psi * psi - self.psi_eq**2) / self.psi_eq**4
-
     @property
     def omega_well(self) -> float:
         """Small-oscillation angular frequency about either well."""

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -84,6 +86,82 @@ def test_saddle_and_barrier(pneumatic_ribbon, pneumatic_wells, pneumatic_saddle)
 
 def test_gradient_matches_finite_differences(pneumatic_ribbon):
     assert oracle.gradient_check(pneumatic_ribbon) < 1e-5
+
+
+@pytest.mark.parametrize("n_links", [20, 60])
+def test_fk_matches_euler_chain(pneumatic_geom, plastic, n_links):
+    # reference: each joint's intrinsic z-y'-x'' rotation from scipy, chained link by link
+    from scipy.spatial.transform import Rotation
+
+    solver = oracle._Solver(oracle.build_discrete(pneumatic_geom, plastic, n_links))
+    m = solver.m
+    q = np.random.default_rng(n_links).uniform(-math.pi, math.pi, 3 * m)
+    R, x, y = solver.fk(q)
+    R_ref = [np.eye(3)]
+    y_ref = []
+    for j in range(m):
+        y_ref.append(R_ref[j] @ Rotation.from_euler("Z", q[j]).as_matrix()[:, 1])
+        euler = Rotation.from_euler("ZYX", [q[j], q[m + j], q[2 * m + j]])
+        R_ref.append(R_ref[j] @ euler.as_matrix())
+    R_ref = np.array(R_ref)
+    x_ref = np.vstack([np.zeros(3), np.cumsum(R_ref[:, :, 0], axis=0) / n_links])
+    assert np.max(np.abs(R - R_ref)) <= 1e-13
+    assert np.max(np.abs(x - x_ref)) <= 1e-13
+    assert np.max(np.abs(y - np.array(y_ref))) <= 1e-13
+
+
+@functools.lru_cache(maxsize=None)
+def _teardrop():
+    """Modulus k, tip angle in degrees and energy in EI/l of the pinned teardrop elastica.
+
+    A strip of length l with both ends pinned to one point is the inflectional
+    elastica sin(theta/2) = k*sn(u) between the inflections u = K and 3K
+    (Love, Treatise on the Mathematical Theory of Elasticity, ch. XIX; Levien,
+    "The elastica: a mathematical history", UCB/EECS-2008-103). The ends meet
+    when 2E(k) = K(k).
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        k = mpmath.findroot(
+            lambda k: 2 * mpmath.ellipe(k**2) - mpmath.ellipk(k**2), (0.8, 0.95), solver="illinois"
+        )
+        m = k**2
+        K = mpmath.ellipk(m)
+        ends = [K, 2 * K, 3 * K]
+        # dx/ds = cos(theta) = 1 - 2m*sn^2: the ends meet along the load line
+        gap = mpmath.quad(lambda u: 1 - 2 * m * mpmath.ellipfun("sn", u, m=m) ** 2, ends)
+        energy = 8 * K**2 * (m - 0.5)
+        # 0.5*int(theta'^2 ds) with theta' = 2k*alpha*cn(u) and alpha = 2K/l
+        quad_energy = 4 * m * K * mpmath.quad(lambda u: mpmath.ellipfun("cn", u, m=m) ** 2, ends)
+        # the end tangents sit at +-2*asin(k) from the load line, 360 - 4*asin(k)
+        # degrees apart; the chain's asin(sin) tip angle is 180 minus that
+        tip = mpmath.degrees(4 * mpmath.asin(k)) - 180
+        assert abs(gap) < 1e-25 and abs(quad_energy - energy) < 1e-25
+        return float(k), float(tip), float(energy)
+
+
+def test_teardrop_elastica_reference():
+    k, tip, energy = _teardrop()
+    assert abs(k - 0.9089085575) < 1e-10
+    assert abs(tip - 81.4198214) < 1e-7
+    assert abs(energy - 14.0549512) < 1e-7
+
+
+def test_unkinked_chain_converges_to_teardrop(pneumatic_geom, plastic):
+    # at theta = 0 the chain's well is the teardrop loop; its energy error is
+    # O(1/n_links), so one Richardson step from 80 and 160 links removes it
+    _, tip, energy = _teardrop()
+    geom = dataclasses.replace(pneumatic_geom, theta=0.0)
+    E, tip_deg = {}, {}
+    for n in (80, 160):
+        ribbon = oracle.build_discrete(geom, plastic, n)
+        well = oracle.find_equilibrium(ribbon, "plus")
+        assert well.converged
+        E[n] = nd(well.energy, ribbon)
+        tip_deg[n] = math.degrees(well.psi_tip)
+    assert abs(2.0 * E[160] - E[80] - energy) < 2e-3
+    assert abs(tip_deg[160] - tip) < 0.02
 
 
 def test_report_struct(pneumatic_geom, plastic):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .buckling import MIN_N_GRID
 from .core import MATERIAL_PRESETS, Material, RibbonGeometry, derive_lengths
 from .errors import ConfigError
-from .snapdyn import DAMPING_PRESETS
+from .snapdyn import DAMPING_PRESETS, MAX_ZETA
 from .swim import DEFAULT_K_DRAG, Waveform
 
 __all__ = ["OptionsBlock", "HydroBlock", "ParsedConfig", "load_config", "parse_config"]
@@ -143,6 +143,11 @@ def _parse_options(block) -> OptionsBlock:
                 z = _number(block["damping"], medium, "options.damping")
                 if z < 0.0:
                     raise ConfigError(f"options.damping.{medium} must be >= 0")
+                if z > MAX_ZETA:
+                    raise ConfigError(
+                        f"options.damping.{medium} must be <= {MAX_ZETA:.4g}, the largest "
+                        f"damping ratio the snap step integrates stably; got {z!r}"
+                    )
                 damping[medium] = z
     return OptionsBlock(
         corrected_torsion=corrected, n_grid=n_grid, n_links=n_links, damping=damping

@@ -15,6 +15,11 @@ fixed-step RK4 kernel integrates that form, so traces are bit-reproducible,
 and every trace is its unit solution scaled to the design. A triggered snap
 starts from the same unit state for every design, so its unit solution
 depends on zeta alone; those of the preset damping ratios are kept.
+
+A damped solution settles in a well, where the float64 RK4 step ends up
+mapping the state onto itself exactly. The kernel stops there and copies that
+state into the remaining samples, which is what the further steps would have
+computed; an undamped or lightly damped snap runs every step.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "DoubleWell",
     "SnapTrace",
     "DAMPING_PRESETS",
+    "MAX_ZETA",
     "snap_timescale",
     "effective_inertia",
     "simulate_snap",
@@ -82,6 +88,13 @@ def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
     """n fixed RK4 steps of ds on x'' = 0.5*x*(1 - x^2) - 2*zeta*x' from (x0, v0).
 
     Returns the n+1 samples of x and x' as float64 arrays.
+
+    The loop stops at the first step that maps the state onto itself
+    (x and x' both unchanged) and fills the remaining samples with that
+    state. The step is a pure function of (x, x'), so every later step would
+    return the same state again: the samples equal those of the full loop.
+    A damped snap reaches such a state in its well; a NaN state never
+    compares equal, so an overflow still runs to the last sample.
     """
     x = np.empty(n + 1)
     v = np.empty(n + 1)
@@ -103,10 +116,16 @@ def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
         p4 = p + ds * q3
         q4 = q + ds * a3
         a4 = 0.5 * p4 * (1.0 - p4 * p4) - c * q4
-        p += w * (q + 2.0 * (q2 + q3) + q4)
-        q += w * (a1 + 2.0 * (a2 + a3) + a4)
-        xs[i] = p
-        vs[i] = q
+        pn = p + w * (q + 2.0 * (q2 + q3) + q4)
+        qn = q + w * (a1 + 2.0 * (a2 + a3) + a4)
+        xs[i] = pn
+        vs[i] = qn
+        if pn == p and qn == q:
+            x[i + 1 :] = pn
+            v[i + 1 :] = qn
+            break
+        p = pn
+        q = qn
     return x, v
 
 
@@ -148,10 +167,13 @@ def simulate_snap(
     Runs the dimensionless kernel from x0 = psi0/psi_eq, v0 =
     psi_dot0/(omega_well*psi_eq) with step omega_well*dt, and scales the
     samples back. Raises StepTooLarge if an undamped run drifts more than 5%
-    of U_barr in total energy, NonFinite on overflow.
+    of U_barr in total energy, NonFinite on overflow, and ValueError for a dt
+    that is not positive and finite or a T that is not finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     n = int(round(T / dt))
     if n < 10:
         raise ValueError("T must cover at least 10 steps")
@@ -209,6 +231,11 @@ _UNIT_X0 = -1e-3
 _UNIT_V0 = 1e-2
 _UNIT_DS = 2.0 * math.pi / 2000
 _UNIT_STEPS = 240_000
+
+# Largest damping ratio the unit step integrates stably: the overdamped fast
+# mode decays at rate 2*zeta, and RK4 is stable on the real axis out to
+# |lambda*ds| = 2.785.
+MAX_ZETA = 2.785 / (2.0 * _UNIT_DS)
 
 # Read-only unit snaps (x, x') of the preset damping ratios, filled on first
 # use. Its keys are DAMPING_PRESETS' values, so it holds at most two entries

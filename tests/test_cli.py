@@ -89,6 +89,21 @@ def test_snap_writes_trace(tmp_path):
     assert len(lines) > 1000
 
 
+def test_snap_damping_above_the_stable_limit_exits_2(tmp_path):
+    # 1e6 overflows the unit snap; 400 is within the step's stability limit
+    # and stays a snap that never leaves its starting well
+    payload = json.loads((CONFIGS / "pneumatic.json").read_text())
+    for zeta, code, fragment in ((1e6, 2, "options.damping.water"), (400.0, 3, "starting well")):
+        payload["options"] = {"damping": {"water": zeta}}
+        p = tmp_path / "damped.json"
+        p.write_text(json.dumps(payload))
+        res = run_cli(["snap", "--config", str(p), "--medium", "water", "--out", str(tmp_path)])
+        assert res.returncode == code, res.stderr
+        assert fragment in res.stderr
+        assert "internal error" not in res.stderr
+    assert not (tmp_path / "snap_water.csv").exists()
+
+
 def test_swim_compare_matches_golden():
     res = run_cli(["swim", "--config", PNEU, "--compare"])
     assert res.returncode == 0

@@ -109,6 +109,7 @@ def test_options_overrides(tmp_path):
             "kind": "sinusoid", "amplitude_deg": 40.0, "frequency_hz": 1.0, "speed_cm_s": 1e300}}),
          "reference.speed_cm_s"),
         (lambda p: p.update(options={"damping": {"air": math.inf}}), "damping.air"),
+        (lambda p: p.update(options={"damping": {"water": 1e6}}), "options.damping.water"),
     ],
 )
 def test_rejects_malformed(tmp_path, mutate, fragment):

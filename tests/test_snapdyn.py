@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -235,3 +236,100 @@ def test_transit_factor_is_tau_over_omega_t_star(pneumatic_geom, plastic, pneuma
     factor = _tau(0.05) / (well.omega_well * t_star)
     assert abs(_measured_duration(well) / t_star - factor) <= 1e-12
     assert abs(factor - 0.072) <= 5e-4
+
+
+# The kernel stops at the first state its step maps onto itself. Everything
+# after that is a copy of the state, so the trace must equal the full loop's.
+
+
+def _rk4_full(zeta, x0, v0, ds, n):
+    """Every one of the n RK4 steps of snapdyn._rk4, with no stop."""
+    x = np.empty(n + 1)
+    v = np.empty(n + 1)
+    x[0] = p = x0
+    v[0] = q = v0
+    c = 2.0 * zeta
+    h = 0.5 * ds
+    w = ds / 6.0
+    for i in range(1, n + 1):
+        a1 = 0.5 * p * (1.0 - p * p) - c * q
+        p2 = p + h * q
+        q2 = q + h * a1
+        a2 = 0.5 * p2 * (1.0 - p2 * p2) - c * q2
+        p3 = p + h * q2
+        q3 = q + h * a2
+        a3 = 0.5 * p3 * (1.0 - p3 * p3) - c * q3
+        p4 = p + ds * q3
+        q4 = q + ds * a3
+        a4 = 0.5 * p4 * (1.0 - p4 * p4) - c * q4
+        p += w * (q + 2.0 * (q2 + q3) + q4)
+        q += w * (a1 + 2.0 * (a2 + a3) + a4)
+        x[i] = p
+        v[i] = q
+    return x, v
+
+
+_UNIT = (snapdyn._UNIT_X0, snapdyn._UNIT_V0, snapdyn._UNIT_DS, snapdyn._UNIT_STEPS)
+
+
+# 0.02 and 0.05 never settle within the horizon, 0.390749 lands on x == 1.0
+# and decays x' through the subnormals, the others stop early.
+@pytest.mark.parametrize("zeta", [0.02, 0.05, 0.2, 0.390749, 0.8, 1.5])
+def test_unit_snap_equals_the_full_loop(zeta):
+    x, v = snapdyn._rk4(zeta, *_UNIT)
+    x_ref, v_ref = _rk4_full(zeta, *_UNIT)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(v, v_ref)
+
+
+def test_undamped_simulate_snap_equals_the_full_loop():
+    # omega_well = psi_eq = 1, so the scaling back to psi is exact
+    well = snapdyn.DoubleWell(U_barr=1.0, psi_eq=1.0, I_eff=8.0, zeta=0.0)
+    ds, n = snapdyn._UNIT_DS, 20_000
+    tr = snapdyn.simulate_snap(well, psi0=-1e-3, psi_dot0=1e-2, dt=ds, T=n * ds)
+    x_ref, v_ref = _rk4_full(0.0, -1e-3, 1e-2, ds, n)
+    assert np.array_equal(tr.psi, x_ref)
+    assert np.array_equal(tr.psi_dot, v_ref)
+
+
+def _best_time(fn, *args, repeat=2):
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def test_settled_snap_stops_at_its_fixed_point():
+    x0, v0, ds, n = _UNIT
+    # water settles within a tenth of the horizon; air at 0.05 never does
+    t_long, (x, v) = _best_time(snapdyn._rk4, 0.8, x0, v0, ds, 5 * n)
+    t_air, _ = _best_time(snapdyn._rk4, 0.05, x0, v0, ds, n)
+    assert t_long < t_air
+    assert math.isfinite(x[-1]) and math.isfinite(v[-1])
+    assert abs(x[-1] - 1.0) < 1e-12
+    assert np.all(x[n:] == x[-1]) and np.all(v[n:] == v[-1])
+    x_short, v_short = snapdyn._rk4(0.8, x0, v0, ds, n)
+    assert np.array_equal(x[: n + 1], x_short) and np.array_equal(v[: n + 1], v_short)
+
+
+def test_overflowing_snap_still_raises():
+    well = snapdyn.DoubleWell(U_barr=1.0, psi_eq=1.0, I_eff=8.0, zeta=1e6)
+    with pytest.raises(NonFinite):
+        snapdyn.triggered_snap(well)
+
+
+@pytest.mark.parametrize(
+    "dt,T,name",
+    [
+        (math.nan, 1.0, "dt"),
+        (math.inf, 1.0, "dt"),
+        (1e-3, math.nan, "T"),
+        (1e-3, math.inf, "T"),
+    ],
+)
+def test_simulate_snap_rejects_non_finite_dt_and_T(dt, T, name):
+    well = snapdyn.DoubleWell(U_barr=1.0, psi_eq=1.0, I_eff=8.0, zeta=0.05)
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        snapdyn.simulate_snap(well, psi0=-1e-3, psi_dot0=1e-2, dt=dt, T=T)

@@ -49,6 +49,10 @@ __all__ = [
 # (17 ms in air vs 50 ms in water); 0.5 puts the ratio just under 2.
 DAMPING_PRESETS = {"air": 0.05, "water": 0.8}
 
+# Most RK4 steps simulate_snap takes: a trace holds five float64 arrays of
+# steps + 1 samples, 40 MB at this cap. A triggered snap takes 240,000.
+MAX_SNAP_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class DoubleWell:
@@ -168,12 +172,17 @@ def simulate_snap(
     psi_dot0/(omega_well*psi_eq) with step omega_well*dt, and scales the
     samples back. Raises StepTooLarge if an undamped run drifts more than 5%
     of U_barr in total energy, NonFinite on overflow, and ValueError for a dt
-    that is not positive and finite or a T that is not finite.
+    that is not positive and finite, a T that is not finite, or more than
+    MAX_SNAP_STEPS steps.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
+    if abs(T / dt) > MAX_SNAP_STEPS:
+        raise ValueError(
+            f"T must span at most {MAX_SNAP_STEPS} steps of dt, got T = {T}, dt = {dt}"
+        )
     n = int(round(T / dt))
     if n < 10:
         raise ValueError("T must cover at least 10 steps")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hcmkit import cli, oracle
 
 from conftest import CONFIGS, GOLDEN, run_cli, run_python
@@ -174,8 +176,9 @@ def test_plot_missing_csv_exits_2(tmp_path):
     assert res.returncode == 2
 
 
-def test_oracle_too_coarse_exits_2():
-    res = run_cli(["oracle", "--config", PNEU, "--n-links", "10"])
+@pytest.mark.parametrize("n_links", ["10", "1001", "1000000000000000"])
+def test_oracle_too_coarse_exits_2(n_links):
+    res = run_cli(["oracle", "--config", PNEU, "--n-links", n_links])
     assert res.returncode == 2
     assert "n_links" in res.stderr
 

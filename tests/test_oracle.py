@@ -23,10 +23,13 @@ def nd(state_energy, ribbon):
 def test_build_discretization(pneumatic_ribbon):
     rib = pneumatic_ribbon
     assert rib.n_links == 60
-    assert abs(rib.link_length - 87.5e-3 / 60.0) < 1e-15
+    assert abs(rib.l - 87.5e-3) < 1e-15
     # kink snaps to the nearest joint: node 9 of 60 (13.125 mm vs true 12.5 mm)
     assert rib.rest_kink_index == 8
     assert abs(rib.rest_kink_angle - math.radians(-3.0)) < 1e-15
+    # the rest in-plane bends hold the kink alone and cannot be written
+    assert np.flatnonzero(rib.rest).tolist() == [8]
+    assert rib.rest[8] == rib.rest_kink_angle and not rib.rest.flags.writeable
     assert abs(rib.energy_scale - 1.3668567132857142e-3) < 1e-15
     # rest blank is planar and kinked at the snap node
     z = rib.node_positions[:, 2]
@@ -40,7 +43,7 @@ def test_joint_stiffness_allocation(pneumatic_ribbon, pneumatic_geom, plastic):
     sec = core.section_properties(pneumatic_geom, plastic)
     EI = plastic.E * sec.I_eta
     m = pneumatic_ribbon.n_links - 1
-    total_compliance = m * (1.0 / pneumatic_ribbon.k_bend_out)
+    total_compliance = m * (1.0 / (pneumatic_ribbon.k_out * pneumatic_ribbon.energy_scale))
     assert abs(total_compliance - 87.5e-3 / EI) < 1e-9 * (87.5e-3 / EI)
 
 
@@ -55,19 +58,30 @@ def test_wells(pneumatic_ribbon, pneumatic_wells):
     assert minus.gap < 1e-4 * pneumatic_ribbon.l
 
 
-def test_mirror_degeneracy(pneumatic_wells):
+def test_mirror_degeneracy(pneumatic_ribbon, pneumatic_wells):
+    # the minus well is the plus well reflected through the blank's plane, exactly:
+    # out-of-plane bends, twists and node heights change sign, nothing else changes
     plus, minus = pneumatic_wells
-    assert abs(plus.energy - minus.energy) <= 1e-9 * plus.energy
+    m = pneumatic_ribbon.n_links - 1
+    q_ref = plus.q.copy()
+    q_ref[m:] = -q_ref[m:]
+    nodes_ref = plus.node_positions.copy()
+    nodes_ref[:, 2] = -nodes_ref[:, 2]
+    assert q_ref.tobytes() == minus.q.tobytes()
+    # node 0 is the origin; its height flips to -0.0, equal to but not the bytes of 0.0
+    assert np.array_equal(nodes_ref, minus.node_positions)
+    assert plus.energy == minus.energy and plus.psi_tip == -minus.psi_tip
+    assert plus.gap == minus.gap and plus.iterations == minus.iterations
 
 
 def test_mirror_reflection_is_exact(pneumatic_ribbon, pneumatic_wells):
     # flipping out-of-plane bends and twists reproduces the energy exactly
     plus, _ = pneumatic_wells
-    solver = oracle._Solver(pneumatic_ribbon)
+    m = pneumatic_ribbon.n_links - 1
     q_ref = plus.q.copy()
-    q_ref[solver.m :] = -q_ref[solver.m :]
-    E1 = solver.energy_grad(plus.q, 1e6)[1]
-    E2 = solver.energy_grad(q_ref, 1e6)[1]
+    q_ref[m:] = -q_ref[m:]
+    E1 = oracle._energy_grad(pneumatic_ribbon, plus.q, 1e6)[1]
+    E2 = oracle._energy_grad(pneumatic_ribbon, q_ref, 1e6)[1]
     assert E1 == E2
 
 
@@ -93,10 +107,10 @@ def test_fk_matches_euler_chain(pneumatic_geom, plastic, n_links):
     # reference: each joint's intrinsic z-y'-x'' rotation from scipy, chained link by link
     from scipy.spatial.transform import Rotation
 
-    solver = oracle._Solver(oracle.build_discrete(pneumatic_geom, plastic, n_links))
-    m = solver.m
+    ribbon = oracle.build_discrete(pneumatic_geom, plastic, n_links)
+    m = n_links - 1
     q = np.random.default_rng(n_links).uniform(-math.pi, math.pi, 3 * m)
-    R, x, y = solver.fk(q)
+    R, x, y = oracle._fk(ribbon, q)
     R_ref = [np.eye(3)]
     y_ref = []
     for j in range(m):

@@ -327,6 +327,8 @@ def test_overflowing_snap_still_raises():
         (math.inf, 1.0, "dt"),
         (1e-3, math.nan, "T"),
         (1e-3, math.inf, "T"),
+        (1e-300, 1e300, "T"),
+        (1e-3, 1e12, "T"),
     ],
 )
 def test_simulate_snap_rejects_non_finite_dt_and_T(dt, T, name):

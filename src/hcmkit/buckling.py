@@ -11,9 +11,11 @@ out-of-plane escape is governed by the narrow-strip coupling ODE
 On the unit span s = z/l it reads -phi'' = lam*sin^2(pi s)*phi with
 lam = P^2*l^2*A_ini^2/(GJ*EI_eta), which holds no design parameter. Its
 central-difference pencil on n_grid points is therefore solved once per
-n_grid and cached; a design only rescales the unit eigenpair (lam_hat, phi_hat):
+n_grid and cached with the unit moment m_hat = integral phi_hat(s)*(1 - s) ds
+of its mode. A design reads two numbers off them: the critical load and the
+moment integral phi(z)*(l - z) dz of its twist mode phi(z) = beta*phi_hat(z/l),
 
-    P_cr = (n_grid - 1)*sqrt(lam_hat*GJ*EI_eta)/(l*A_ini),   phi = beta*phi_hat.
+    P_cr = (n_grid - 1)*sqrt(lam_hat*GJ*EI_eta)/(l*A_ini),   moment = beta*l^2*m_hat.
 
 The unit solve is numpy inverse iteration; each step applies the exact
 Green's function of the second-difference matrix, so no eigensolver library
@@ -43,18 +45,17 @@ MAX_STEPS = 40  # inverse-iteration cap; no n_grid from 64 to 4097 needs more th
 
 @dataclass(frozen=True)
 class BucklingMode:
-    """Critical load plus the sampled fundamental twist mode phi(z).
+    """Critical load and the moment integral phi(z)*(l - z) dz of the twist mode.
 
-    phi = beta*phi_hat rescales the cached unit mode: dimensionless, pinned
-    at both ends, positive inside (every inverse-iteration iterate is), and
-    scaled so max|phi| equals the released kink rotation beta (linear
-    buckling leaves the amplitude free, so the scale is a convention absorbed
-    downstream by the tip-angle calibration).
+    The mode phi = beta*phi_hat(z/l) rescales the cached unit mode: pinned at
+    both ends, positive inside and scaled so max|phi| equals the released kink
+    rotation beta (linear buckling leaves the amplitude free, so the scale is a
+    convention absorbed downstream by the tip-angle calibration). moment is
+    beta*l^2*m_hat, in meters squared.
     """
 
     P_cr: float
-    grid: np.ndarray
-    phi: np.ndarray
+    moment: float
 
 
 def _kink(geom: RibbonGeometry) -> tuple[float, float, float]:
@@ -82,15 +83,17 @@ def _green_solve(f: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _unit_mode(n_grid: int) -> tuple[float, np.ndarray]:
+def _unit_mode(n_grid: int) -> tuple[float, np.ndarray, float]:
     """Fundamental pair of tridiag(-1, 2, -1)*x = lam_hat*diag(sin^2(pi s_i))*x.
 
     s_i = i/(n_grid - 1) are the interior points. Inverse iteration
     x <- T^-1*(d*x) from x = sin(pi s), scaled to max 1 each step, converges
     by the pencil's eigenvalue ratio lam_1/lam_2 = 0.177 per step: 13 to 15
     steps reach rounding at every n_grid from 64 to 4097. T^-1 and d are
-    positive, so every iterate is nodeless. Returns lam_hat and the read-only
-    mode phi_hat on all n_grid points, positive inside and scaled to max 1.
+    positive, so every iterate is nodeless. Returns lam_hat, the read-only
+    mode phi_hat on all n_grid points, positive inside and scaled to max 1,
+    and its unit moment m_hat = integral phi_hat(s)*(1 - s) ds by the
+    trapezoid rule on the same grid.
     """
     s = np.linspace(0.0, 1.0, n_grid)
     x = np.sin(np.pi * s[1:-1])
@@ -111,7 +114,9 @@ def _unit_mode(n_grid: int) -> tuple[float, np.ndarray]:
     phi.setflags(write=False)
     # The Rayleigh quotient squares the mode's error, so lam_hat is exact to rounding.
     lam_hat = float(np.sum(np.diff(phi) ** 2) / np.sum(d * x**2))
-    return lam_hat, phi
+    y = phi * (1.0 - s)
+    m_hat = float(np.sum(np.diff(s) * (y[1:] + y[:-1]) / 2.0))
+    return lam_hat, phi, m_hat
 
 
 def critical_load(
@@ -120,7 +125,7 @@ def critical_load(
     n_grid: int = 257,
     corrected_torsion: bool = False,
 ) -> BucklingMode:
-    """Smallest P > 0 with a nontrivial twist mode, by rescaling the cached unit eigenpair.
+    """Smallest P > 0 with a nontrivial twist mode, by rescaling the cached unit mode.
 
     n_grid counts grid points including both ends and selects the grid of the
     unit solve; n_grid >= MIN_N_GRID required.
@@ -129,15 +134,13 @@ def critical_load(
     if n_grid < MIN_N_GRID:
         raise EigenFailure(f"n_grid must be at least {MIN_N_GRID}, got {n_grid}")
     sec = section_properties(geom, mat, corrected_torsion=corrected_torsion)
-    lam_hat, phi_hat = _unit_mode(n_grid)
+    lam_hat, _, m_hat = _unit_mode(n_grid)
     root = (n_grid - 1) * math.sqrt(lam_hat * sec.G * sec.J * mat.E * sec.I_eta)
     # l*A_ini underflows to 0 for l below about 1e-161 m.
     P_cr = root / (l * A_ini) if l * A_ini > 0.0 else math.inf
     if not 0.0 < P_cr < math.inf:
         raise EigenFailure(f"no positive finite critical load (P_cr = {P_cr:.6g} N)")
-    return BucklingMode(
-        P_cr=P_cr, grid=np.linspace(0.0, l, n_grid), phi=beta * phi_hat
-    )
+    return BucklingMode(P_cr=P_cr, moment=beta * l**2 * m_hat)
 
 
 def critical_load_closed_form(

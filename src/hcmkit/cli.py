@@ -50,9 +50,17 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(_round12(obj), indent=2) + "\n")
 
 
+def _out_dir(path) -> str:
+    """Create the --out directory; a path that cannot be one is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path!r} cannot be used as a directory: {exc.strerror}") from exc
+    return path
+
+
 def _write(out_dir, name: str, text: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(_out_dir(out_dir), name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -375,8 +383,7 @@ def cmd_calibrate(args) -> int:
     calib = postbuckle.calibrate(
         cfg.geom, cfg.mat, math.radians(args.psi_l_deg), opts.n_grid, opts.corrected_torsion
     )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "calibration.json")
+    path = os.path.join(_out_dir(args.out), "calibration.json")
     postbuckle.save_calibration(calib, path)
     _emit_json(
         {
@@ -392,7 +399,7 @@ def cmd_calibrate(args) -> int:
 def cmd_plot(args) -> int:
     if args.sweep_csv is None:
         raise ConfigError("plot needs --sweep-csv PATH")
-    written = svgplot.render_plots(args.sweep_csv, args.out)
+    written = svgplot.render_plots(args.sweep_csv, _out_dir(args.out))
     _emit_json({"written": [os.path.basename(p) for p in written]})
     return 0
 

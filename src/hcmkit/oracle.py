@@ -102,8 +102,6 @@ class DiscreteRibbon:
     k_out: float
     k_tw: float
     rest: np.ndarray
-    rest_kink_index: int
-    rest_kink_angle: float
     node_positions: np.ndarray
     l: float
     energy_scale: float  # EI_eta / l, joules per unit of dimensionless energy
@@ -259,8 +257,6 @@ def build_discrete(geom: RibbonGeometry, mat: Material, n_links: int = 60) -> Di
         k_out=ku,
         k_tw=ku * 2.0 / (1.0 + mat.nu),
         rest=rest,
-        rest_kink_index=kink_node - 1,
-        rest_kink_angle=geom.theta,
         node_positions=np.empty((n_links + 1, 3)),
         l=l,
         energy_scale=EI_eta / l,

@@ -5,7 +5,8 @@ moment arm,
 
     psi_l = C_psi * (P_cr/EI_eta) * integral phi(z)*(l - z) dz,
 
-where C_psi is a single global calibration constant absorbing the amplitude
+where the integral is the mode's moment beta*l^2*m_hat (see buckling) and
+C_psi is a single global calibration constant absorbing the amplitude
 left free by linear buckling theory. It is anchored once at a reference
 design and persisted as a small JSON artifact; an independent second design
 then serves as a genuine validation point.
@@ -18,8 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 from . import snapdyn
 from .buckling import BucklingMode, critical_load
@@ -71,10 +70,7 @@ def tip_angle(
     if calib is None:
         raise NotCalibrated("no calibration supplied; run calibrate first")
     sec = section_properties(geom, mat)
-    z = mode.grid
-    y = mode.phi * (derive_lengths(geom)["l"] - z)
-    integral = float(np.sum(np.diff(z) * (y[1:] + y[:-1]) / 2.0))  # trapezoid rule
-    return calib.C_psi * (mode.P_cr / (mat.E * sec.I_eta) * integral)
+    return calib.C_psi * (mode.P_cr / (mat.E * sec.I_eta) * mode.moment)
 
 
 def energy_barrier(geom: RibbonGeometry, mat: Material, P_cr: float) -> dict:

@@ -8,6 +8,8 @@ mono-stable designs (empty value fields) render gray.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import os
 
 from .errors import ConfigError
@@ -39,13 +41,32 @@ def _color(frac: float) -> str:
     )
 
 
+def _number(path, lineno: int, key: str, raw: str) -> float:
+    try:
+        val = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"sweep CSV {path} line {lineno}: bad {key}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"sweep CSV {path} line {lineno}: non-finite {key} {raw!r}")
+    return val
+
+
 def _read_sweep(path):
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(path, "rb") as fh:
+            content = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read sweep CSV {path}: {exc}") from exc
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = content.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"sweep CSV {path} line {lineno}: not UTF-8 text") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ConfigError(f"sweep CSV {path} line {reader.line_num}: {exc}") from exc
     if not rows or rows[0] != _EXPECTED_HEADER:
         raise ConfigError(f"sweep CSV {path} missing expected header")
     if len(rows) < 2:
@@ -54,20 +75,12 @@ def _read_sweep(path):
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(_EXPECTED_HEADER):
             raise ConfigError(f"sweep CSV {path} line {lineno}: wrong column count")
-        try:
-            theta = float(row[0])
-            gamma = float(row[1])
-        except ValueError as exc:
-            raise ConfigError(f"sweep CSV {path} line {lineno}: bad coordinates") from exc
-        cell = {"theta": theta, "gamma": gamma}
+        cell = {
+            "theta": _number(path, lineno, "theta_deg", row[0]),
+            "gamma": _number(path, lineno, "gamma_s", row[1]),
+        }
         for key, raw in (("psi_l_deg", row[2]), ("u_barr_unitless", row[3])):
-            if raw == "":
-                cell[key] = None
-            else:
-                try:
-                    cell[key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"sweep CSV {path} line {lineno}: bad {key}") from exc
+            cell[key] = None if raw == "" else _number(path, lineno, key, raw)
         data.append(cell)
     return data
 

@@ -216,6 +216,29 @@ def test_oracle_csv_solves_only_the_plus_well(monkeypatch, capsys):
     assert len(lines) == 1 + 21
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--config", PNEU, "--theta=0:0:1", "--gamma=6:6:1"],
+        ["snap", "--config", PNEU],
+        ["swim", "--config", PNEU, "--waveform", "sinusoid"],
+        ["swim", "--fig6"],
+        ["calibrate", "--config", PNEU, "--psi-l-deg", "39"],
+        ["plot", "--sweep-csv", str(GOLDEN / "sweep_small.csv")],
+    ],
+    ids=["sweep", "snap", "swim", "swim-fig6", "calibrate", "plot"],
+)
+def test_unusable_out_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: --out ") and "internal error" not in err
+    assert blocker.read_text() == ""
+
+
 def test_calibrate_writes_artifact(tmp_path):
     res = run_cli(["calibrate", "--config", PNEU, "--psi-l-deg", "39", "--out", str(tmp_path)])
     assert res.returncode == 0

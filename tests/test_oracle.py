@@ -20,16 +20,14 @@ def nd(state_energy, ribbon):
     return state_energy / ribbon.energy_scale
 
 
-def test_build_discretization(pneumatic_ribbon):
+def test_build_discretization(pneumatic_ribbon, pneumatic_geom):
     rib = pneumatic_ribbon
     assert rib.n_links == 60
     assert abs(rib.l - 87.5e-3) < 1e-15
     # kink snaps to the nearest joint: node 9 of 60 (13.125 mm vs true 12.5 mm)
-    assert rib.rest_kink_index == 8
-    assert abs(rib.rest_kink_angle - math.radians(-3.0)) < 1e-15
-    # the rest in-plane bends hold the kink alone and cannot be written
-    assert np.flatnonzero(rib.rest).tolist() == [8]
-    assert rib.rest[8] == rib.rest_kink_angle and not rib.rest.flags.writeable
+    # the rest in-plane bends hold the kink theta alone and cannot be written
+    assert rib.rest[8] == pneumatic_geom.theta and not rib.rest.flags.writeable
+    assert np.count_nonzero(np.delete(rib.rest, 8)) == 0
     assert abs(rib.energy_scale - 1.3668567132857142e-3) < 1e-15
     # rest blank is planar and kinked at the snap node
     z = rib.node_positions[:, 2]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hcmkit import buckling, core, postbuckle
@@ -124,11 +125,32 @@ def test_calibrate_honours_corrected_torsion(pneumatic_geom, plastic):
 def test_tip_integral_equals_scipy_trapezoid(pneumatic_geom, plastic, n_grid):
     from scipy.integrate import trapezoid
 
+    # the moment beta*l^2*m_hat against the per-design integral of
+    # phi(z)*(l - z) with phi = beta*phi_hat on the grid z = linspace(0, l, n_grid)
     mode = buckling.critical_load(pneumatic_geom, plastic, n_grid=n_grid)
     sec = core.section_properties(pneumatic_geom, plastic)
-    arm = core.derive_lengths(pneumatic_geom)["l"] - mode.grid
-    ref = mode.P_cr / (plastic.E * sec.I_eta) * float(trapezoid(mode.phi * arm, mode.grid))
-    assert postbuckle.tip_angle(pneumatic_geom, plastic, mode, postbuckle.UNCALIBRATED) == ref
+    beta, l, _ = buckling._kink(pneumatic_geom)
+    z = np.linspace(0.0, l, n_grid)
+    phi = beta * buckling._unit_mode(n_grid)[1]
+    ref = mode.P_cr / (plastic.E * sec.I_eta) * float(trapezoid(phi * (l - z), z))
+    psi = postbuckle.tip_angle(pneumatic_geom, plastic, mode, postbuckle.UNCALIBRATED)
+    assert abs(psi / ref - 1.0) <= 1e-15
+
+
+def test_tip_angle_is_design_free_at_fixed_beta_and_nu(plastic, calibration):
+    # psi_l = C_psi*pi*sqrt(mu)*kappa*sqrt(GJ/EI_eta)*beta/sin(beta) holds no
+    # length, thickness or modulus once beta and nu are fixed
+    rng = np.random.default_rng(7)
+    for n_grid in (129, 257, 385):
+        psi = []
+        for _ in range(50):
+            g = core.RibbonGeometry(
+                L1=10 ** rng.uniform(-3.0, -1.0), gamma_s=6.0, theta=math.radians(-3.0),
+                h=10 ** rng.uniform(-3.0, -1.5), t=10 ** rng.uniform(-4.5, -3.0),
+            )
+            m = core.Material(E=10 ** rng.uniform(6.0, 11.0), nu=plastic.nu, rho=plastic.rho)
+            psi.append(postbuckle.analyze(g, m, calibration, n_grid=n_grid).psi_l)
+        assert (max(psi) - min(psi)) / min(psi) <= 4e-15
 
 
 def test_calibration_file_roundtrip(tmp_path, pneumatic_geom, plastic):

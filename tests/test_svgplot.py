@@ -59,6 +59,25 @@ def test_bad_row_rejected(tmp_path):
         svgplot.render_plots(_write(tmp_path, bad), tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        (b"0.0,4.0,30.5,4.2,66.9,true\n-10.0,4.0,30.5,4.2\xff,66.9,true\n", "line 3: not UTF-8"),
+        (b"0.0,4.0," + b"9" * 131_073 + b",4.2,66.9,true\n", "line 2: field larger"),
+        (b"0.0,4.0,30.5,4.2,66.9,true\nnan,4.0,30.5,4.2,66.9,true\n", "line 3: non-finite theta"),
+        (b"0.0,inf,30.5,4.2,66.9,true\n", "line 2: non-finite gamma_s"),
+        (b"0.0,4.0,-inf,4.2,66.9,true\n", "line 2: non-finite psi_l_deg"),
+        (b"0.0,4.0,30.5,NaN,66.9,true\n", "line 2: non-finite u_barr_unitless"),
+    ],
+)
+def test_unusable_row_rejected(tmp_path, body, match):
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(HEADER.encode() + body)
+    with pytest.raises(ConfigError, match=match):
+        svgplot.render_plots(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         svgplot.render_plots(tmp_path / "absent.csv", tmp_path / "out")

@@ -3,7 +3,7 @@
 The package covers the full chain from ribbon geometry to swimming speed:
 
 - core: geometry, materials, section properties, the bistability margin
-- buckling: the torsional buckling eigenproblem of the pre-buckled ribbon
+- buckling: the torsional buckling load of the pre-buckled ribbon
 - postbuckle: tip angle, energy barrier, calibration bookkeeping
 - snapdyn: lumped double-well snap-through dynamics
 - oracle: independent discrete-chain minimization cross-check

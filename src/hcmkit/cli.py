@@ -107,7 +107,6 @@ def _analyze(cfg: config.ParsedConfig, calib, geom=None) -> postbuckle.HcmAnalys
         cfg.geom if geom is None else geom,
         cfg.mat,
         postbuckle.UNCALIBRATED if calib is None else calib,  # None: the raw integral
-        n_grid=cfg.options.n_grid,
         corrected_torsion=cfg.options.corrected_torsion,
     )
 
@@ -379,9 +378,8 @@ def cmd_calibrate(args) -> int:
     cfg = _require_config(args)
     if args.psi_l_deg <= 0:
         raise ConfigError("--psi-l-deg must be positive")
-    opts = cfg.options
     calib = postbuckle.calibrate(
-        cfg.geom, cfg.mat, math.radians(args.psi_l_deg), opts.n_grid, opts.corrected_torsion
+        cfg.geom, cfg.mat, math.radians(args.psi_l_deg), cfg.options.corrected_torsion
     )
     path = os.path.join(_out_dir(args.out), "calibration.json")
     postbuckle.save_calibration(calib, path)

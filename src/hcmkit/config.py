@@ -12,7 +12,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .buckling import MIN_N_GRID
 from .core import MATERIAL_PRESETS, Material, RibbonGeometry, derive_lengths
 from .errors import ConfigError
 from .snapdyn import DAMPING_PRESETS, MAX_ZETA
@@ -20,7 +19,11 @@ from .swim import DEFAULT_K_DRAG, Waveform
 
 __all__ = ["OptionsBlock", "HydroBlock", "ParsedConfig", "load_config", "parse_config"]
 
-MAX_N_GRID = 4097  # unit-solve grid; P_cr is within 1e-7 of its continuum value by 1025
+# options.n_grid selects nothing: the beam reduction uses the Mathieu constants
+# of buckling, not a grid. The key stays accepted and range-checked only while
+# callers still pass it.
+MIN_N_GRID = 64
+MAX_N_GRID = 4097
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,13 @@ def _parse_material(block):
         nu=_number(block, "nu", "material"),
         rho=_number(block, "rho_kg_m3", "material"),
     )
+    # t* divides by the wave speed: an E/rho that overflows or underflows gives 0 or inf.
+    wave_speed = math.sqrt(mat.E / mat.rho)
+    if not 0.0 < wave_speed < math.inf:
+        raise ConfigError(
+            f"fields material.E_GPa and material.rho_kg_m3 give a wave speed sqrt(E/rho) "
+            f"of {wave_speed:.6g} m/s, out of the float range"
+        )
     return mat, "custom"
 
 

@@ -27,7 +27,7 @@ class DegenerateAnchor(HcmError):
 
 
 class EigenFailure(HcmError):
-    """Buckling found no positive finite critical load, or its unit mode did not converge."""
+    """Buckling found no positive finite critical load (the design under- or overflows)."""
 
 
 class TooCoarse(ConfigError):

@@ -5,7 +5,7 @@ moment arm,
 
     psi_l = C_psi * (P_cr/EI_eta) * integral phi(z)*(l - z) dz,
 
-where the integral is the mode's moment beta*l^2*m_hat (see buckling) and
+where the integral is the mode's moment beta*l^2*KAPPA (see buckling) and
 C_psi is a single global calibration constant absorbing the amplitude
 left free by linear buckling theory. It is anchored once at a reference
 design and persisted as a small JSON artifact; an independent second design
@@ -91,19 +91,18 @@ def calibrate(
     anchor_geom: RibbonGeometry,
     anchor_mat: Material,
     anchor_psi_l: float,
-    n_grid: int = 257,
     corrected_torsion: bool = False,
 ) -> Calibration:
     """Fix C_psi so that analyze of the anchor design gives anchor_psi_l exactly."""
     if not (anchor_psi_l > 0.0):
         raise DegenerateAnchor(f"anchor psi_l must be positive, got {anchor_psi_l}")
-    raw = analyze(anchor_geom, anchor_mat, UNCALIBRATED, n_grid, corrected_torsion).psi_l
+    raw = analyze(anchor_geom, anchor_mat, UNCALIBRATED, corrected_torsion=corrected_torsion).psi_l
     if raw < 1e-12:
         raise DegenerateAnchor(f"uncalibrated integral {raw:.3g} below 1e-12")
     anchor_id = (
         f"theta={math.degrees(anchor_geom.theta):g}deg,"
         f"gamma_s={anchor_geom.gamma_s:g},"
-        f"psi_l={math.degrees(anchor_psi_l):g}deg,n_grid={n_grid}"
+        f"psi_l={math.degrees(anchor_psi_l):g}deg"
         + (",corrected_torsion" if corrected_torsion else "")
     )
     return Calibration(
@@ -120,8 +119,8 @@ def analyze(
     n_grid: int = 257,
     corrected_torsion: bool = False,
 ) -> HcmAnalysis:
-    """Full derived bundle for a bistable design."""
-    mode = critical_load(geom, mat, n_grid=n_grid, corrected_torsion=corrected_torsion)
+    """Full derived bundle for a bistable design. n_grid is accepted and ignored."""
+    mode = critical_load(geom, mat, corrected_torsion=corrected_torsion)
     psi_l = tip_angle(geom, mat, mode, calib)
     barrier = energy_barrier(geom, mat, mode.P_cr)
     return HcmAnalysis(

@@ -133,6 +133,17 @@ def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
     return x, v
 
 
+def _omega_well(well: DoubleWell) -> float:
+    """well.omega_well; NonFinite if it is not positive and finite, as no time step could follow."""
+    try:
+        omega = well.omega_well
+    except ZeroDivisionError:  # I_eff*psi_eq^2 underflowed to 0
+        omega = math.inf
+    if not 0.0 < omega < math.inf:
+        raise NonFinite(f"omega_well = {omega:.6g} rad/s is not positive and finite")
+    return omega
+
+
 def _scaled_trace(well: DoubleWell, x: np.ndarray, v: np.ndarray, dt: float) -> SnapTrace:
     """SnapTrace of the unit solution (x, x') sampled every dt seconds.
 
@@ -171,7 +182,8 @@ def simulate_snap(
     Runs the dimensionless kernel from x0 = psi0/psi_eq, v0 =
     psi_dot0/(omega_well*psi_eq) with step omega_well*dt, and scales the
     samples back. Raises StepTooLarge if an undamped run drifts more than 5%
-    of U_barr in total energy, NonFinite on overflow, and ValueError for a dt
+    of U_barr in total energy, NonFinite on overflow or for an omega_well
+    that is not positive and finite, and ValueError for a dt
     that is not positive and finite, a T that is not finite, or more than
     MAX_SNAP_STEPS steps.
     """
@@ -186,7 +198,7 @@ def simulate_snap(
     n = int(round(T / dt))
     if n < 10:
         raise ValueError("T must cover at least 10 steps")
-    omega = well.omega_well
+    omega = _omega_well(well)
     x, v = _rk4(well.zeta, psi0 / well.psi_eq, psi_dot0 / (omega * well.psi_eq), omega * dt, n)
     return _scaled_trace(well, x, v, dt)
 
@@ -264,8 +276,10 @@ def triggered_snap(well: DoubleWell) -> SnapTrace:
     In x = psi/psi_eq and s = omega_well*t that start and the equation of
     motion hold no design parameter, so the unit snap depends on zeta alone:
     it is integrated once per call, or once per process for a preset zeta,
-    and scaled to the design.
+    and scaled to the design. Raises NonFinite if omega_well is not positive
+    and finite.
     """
+    omega = _omega_well(well)
     xv = _PRESET_SNAPS.get(well.zeta)
     if xv is None:
         xv = _rk4(well.zeta, _UNIT_X0, _UNIT_V0, _UNIT_DS, _UNIT_STEPS)
@@ -273,4 +287,4 @@ def triggered_snap(well: DoubleWell) -> SnapTrace:
             for a in xv:
                 a.flags.writeable = False
             _PRESET_SNAPS[well.zeta] = xv
-    return _scaled_trace(well, *xv, _UNIT_DS / well.omega_well)
+    return _scaled_trace(well, *xv, _UNIT_DS / omega)

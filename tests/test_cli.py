@@ -50,6 +50,22 @@ def test_sweep_matches_golden(tmp_path):
     assert (tmp_path / "sweep.csv").read_text() == (GOLDEN / "sweep_small.csv").read_text()
 
 
+def test_sweep_ignores_n_grid(tmp_path):
+    # options.n_grid is validated but selects nothing: the beam reduction has no grid
+    payload = json.loads((CONFIGS / "pneumatic.json").read_text())
+    outputs = set()
+    for n_grid in (129, 257, 385):
+        payload["options"] = {"n_grid": n_grid}
+        p = tmp_path / f"grid{n_grid}.json"
+        p.write_text(json.dumps(payload))
+        out = tmp_path / f"out{n_grid}"
+        res = run_cli(["sweep", "--config", str(p), "--theta=-10:10:10", "--gamma=4:8:2",
+                       "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        outputs.add((out / "sweep.csv").read_bytes())
+    assert len(outputs) == 1
+
+
 def test_sweep_bad_range_exits_2(tmp_path):
     res = run_cli(["sweep", "--config", PNEU, "--theta=0:10", "--gamma=4:8:2", "--out", str(tmp_path)])
     assert res.returncode == 2
@@ -85,7 +101,9 @@ def test_snap_writes_trace(tmp_path):
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["zeta"] == 0.8
-    assert abs(payload["duration_ms"] - 13.7300792975) < 1e-6
+    # tau(0.8)/omega_well, omega_well from the 40-digit U_barr of
+    # test_postbuckle.py::test_energy_barrier_reference_values
+    assert abs(payload["duration_ms"] - 13.7300314495) < 1e-6
     lines = (tmp_path / "snap_water.csv").read_text().strip().split("\n")
     assert lines[0] == "time_s,psi_rad,psi_dot_rad_s,kinetic_J,potential_J"
     assert len(lines) > 1000
@@ -104,6 +122,18 @@ def test_snap_damping_above_the_stable_limit_exits_2(tmp_path):
         assert fragment in res.stderr
         assert "internal error" not in res.stderr
     assert not (tmp_path / "snap_water.csv").exists()
+
+
+def test_snap_overflowing_well_frequency_exits_3(tmp_path):
+    # L1 = 1e-100 mm passes the config checks, but omega_well overflows to inf
+    payload = json.loads((CONFIGS / "pneumatic.json").read_text())
+    payload["geometry"]["L1_mm"] = 1e-100
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(payload))
+    res = run_cli(["snap", "--config", str(p), "--out", str(tmp_path)])
+    assert res.returncode == 3, res.stdout
+    assert "omega_well" in res.stderr and "internal error" not in res.stderr
+    assert not (tmp_path / "snap_air.csv").exists()
 
 
 def test_swim_compare_matches_golden():
@@ -244,7 +274,7 @@ def test_calibrate_writes_artifact(tmp_path):
     assert res.returncode == 0
     payload = json.loads((tmp_path / "calibration.json").read_text())
     # the 40-digit reference of test_postbuckle.py::test_calibration_anchor_roundtrip
-    assert abs(payload["c_psi"] / 0.16315471168808224 - 1.0) <= 2e-15
+    assert abs(payload["c_psi"] / 0.1631508165206301 - 1.0) <= 2e-15
     res2 = run_cli(["calibrate", "--config", PNEU, "--psi-l-deg", "-5", "--out", str(tmp_path)])
     assert res2.returncode == 2
 

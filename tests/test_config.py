@@ -102,6 +102,10 @@ def test_options_overrides(tmp_path):
         (lambda p: p["geometry"].update(t_mm=10**400), "t_mm"),
         (lambda p: p.update(material={"E_GPa": 1e300, "nu": 0.4, "rho_kg_m3": 1e3}),
          "material.E_GPa"),
+        (lambda p: p.update(material={"E_GPa": 1.0, "nu": 0.4, "rho_kg_m3": 1e-300}),
+         "material.E_GPa and material.rho_kg_m3"),
+        (lambda p: p.update(material={"E_GPa": 1e-300, "nu": 0.4, "rho_kg_m3": 1e300}),
+         "material.E_GPa and material.rho_kg_m3"),
         (lambda p: p["geometry"].update(L1_mm=1e300), "geometry.L1_mm"),
         (lambda p: p["geometry"].update(L1_mm=1e-150), "geometry.gamma_s"),
         (lambda p: p["geometry"].update(h_mm=1e120, t_mm=1e110), "geometry.t_mm"),

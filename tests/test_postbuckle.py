@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import unit_grid_mode
 from hcmkit import buckling, core, postbuckle
 from hcmkit.errors import DegenerateAnchor, NotBistable, NotCalibrated
 
@@ -11,9 +12,10 @@ def test_energy_barrier_reference_values(pneumatic_geom, plastic):
     mode = buckling.critical_load(pneumatic_geom, plastic)
     eb = postbuckle.energy_barrier(pneumatic_geom, plastic, mode.P_cr)
     # 3*P_cr*L2*beta and its unitless form, with the 40-digit P_cr of
-    # test_buckling.py::test_critical_load_reference_value
-    assert abs(eb["U_barr"] - 0.04854373209919802) < 1e-12
-    assert abs(eb["U_barr_unitless"] - 5.07355219015149) < 1e-9
+    # test_buckling.py::test_critical_load_reference_value: 0.04854407044158448930
+    # and 5.073587552034099728
+    assert abs(eb["U_barr"] - 0.04854407044158449) < 1e-12
+    assert abs(eb["U_barr_unitless"] - 5.0735875520341) < 1e-9
 
 
 def test_energy_barrier_worked_example_with_closed_form_load(pneumatic_geom, plastic):
@@ -26,9 +28,9 @@ def test_energy_barrier_worked_example_with_closed_form_load(pneumatic_geom, pla
 
 
 def test_calibration_anchor_roundtrip(pneumatic_geom, plastic, calibration):
-    # 40-digit reference (exact unit eigenpair and trapezoid, at the float
-    # beta and nu): 0.16315471168808223728
-    assert abs(calibration.C_psi / 0.16315471168808224 - 1.0) <= 2e-15
+    # 40-digit reference (the Mathieu constants MU and KAPPA, at the float
+    # beta and nu): 0.16315081652063009756
+    assert abs(calibration.C_psi / 0.1631508165206301 - 1.0) <= 2e-15
     res = postbuckle.analyze(pneumatic_geom, plastic, calibration)
     assert abs(math.degrees(res.psi_l) - 39.0) < 1e-9
     assert res.psi_eq == res.psi_l
@@ -118,39 +120,41 @@ def test_calibrate_honours_corrected_torsion(pneumatic_geom, plastic):
     calib = postbuckle.calibrate(pneumatic_geom, plastic, anchor, corrected_torsion=True)
     res = postbuckle.analyze(pneumatic_geom, plastic, calib, corrected_torsion=True)
     assert abs(res.psi_l - anchor) < 1e-9
-    assert calib.anchor_id.endswith(",n_grid=257,corrected_torsion")
+    assert calib.anchor_id.endswith(",psi_l=39deg,corrected_torsion")
 
 
 @pytest.mark.parametrize("n_grid", [129, 257, 385])
 def test_tip_integral_equals_scipy_trapezoid(pneumatic_geom, plastic, n_grid):
     from scipy.integrate import trapezoid
 
-    # the moment beta*l^2*m_hat against the per-design integral of
-    # phi(z)*(l - z) with phi = beta*phi_hat on the grid z = linspace(0, l, n_grid)
-    mode = buckling.critical_load(pneumatic_geom, plastic, n_grid=n_grid)
+    # the per-design trapezoid of phi(z)*(l - z), phi = beta*phi_hat on the
+    # grid z = linspace(0, l, n_grid), is beta*l^2 times the unit trapezoid
+    # m_hat, and both approach the moment beta*l^2*KAPPA from below at O(h^2)
+    mode = buckling.critical_load(pneumatic_geom, plastic)
     sec = core.section_properties(pneumatic_geom, plastic)
     beta, l, _ = buckling._kink(pneumatic_geom)
     z = np.linspace(0.0, l, n_grid)
-    phi = beta * buckling._unit_mode(n_grid)[1]
-    ref = mode.P_cr / (plastic.E * sec.I_eta) * float(trapezoid(phi * (l - z), z))
+    _, phi_hat, m_hat = unit_grid_mode(n_grid)
+    grid_moment = float(trapezoid(beta * phi_hat * (l - z), z))
+    assert abs(grid_moment / (beta * l**2 * m_hat) - 1.0) <= 1e-15
+    ref = mode.P_cr / (plastic.E * sec.I_eta) * grid_moment
     psi = postbuckle.tip_angle(pneumatic_geom, plastic, mode, postbuckle.UNCALIBRATED)
-    assert abs(psi / ref - 1.0) <= 1e-15
+    assert 0.0 < psi / ref - 1.0 <= 1.2 / (n_grid - 1) ** 2
 
 
 def test_tip_angle_is_design_free_at_fixed_beta_and_nu(plastic, calibration):
     # psi_l = C_psi*pi*sqrt(mu)*kappa*sqrt(GJ/EI_eta)*beta/sin(beta) holds no
     # length, thickness or modulus once beta and nu are fixed
     rng = np.random.default_rng(7)
-    for n_grid in (129, 257, 385):
-        psi = []
-        for _ in range(50):
-            g = core.RibbonGeometry(
-                L1=10 ** rng.uniform(-3.0, -1.0), gamma_s=6.0, theta=math.radians(-3.0),
-                h=10 ** rng.uniform(-3.0, -1.5), t=10 ** rng.uniform(-4.5, -3.0),
-            )
-            m = core.Material(E=10 ** rng.uniform(6.0, 11.0), nu=plastic.nu, rho=plastic.rho)
-            psi.append(postbuckle.analyze(g, m, calibration, n_grid=n_grid).psi_l)
-        assert (max(psi) - min(psi)) / min(psi) <= 4e-15
+    psi = []
+    for _ in range(150):
+        g = core.RibbonGeometry(
+            L1=10 ** rng.uniform(-3.0, -1.0), gamma_s=6.0, theta=math.radians(-3.0),
+            h=10 ** rng.uniform(-3.0, -1.5), t=10 ** rng.uniform(-4.5, -3.0),
+        )
+        m = core.Material(E=10 ** rng.uniform(6.0, 11.0), nu=plastic.nu, rho=plastic.rho)
+        psi.append(postbuckle.analyze(g, m, calibration).psi_l)
+    assert (max(psi) - min(psi)) / min(psi) <= 4e-15
 
 
 def test_calibration_file_roundtrip(tmp_path, pneumatic_geom, plastic):
@@ -164,4 +168,4 @@ def test_calibration_file_roundtrip(tmp_path, pneumatic_geom, plastic):
 
 def test_packaged_calibration_loads(calibration):
     assert calibration.C_psi > 0.0
-    assert calibration.anchor_id == "theta=-3deg,gamma_s=6,psi_l=39deg,n_grid=257"
+    assert calibration.anchor_id == "theta=-3deg,gamma_s=6,psi_l=39deg"

@@ -63,7 +63,9 @@ def test_well_shape(pneumatic_well):
     # quartic double well: zero at both minima, U_barr at psi = 0
     assert U[0] == 0.0 and U[2] == 0.0
     assert abs(U[1] - well.U_barr) < 1e-18
-    assert abs(well.omega_well - 739.8086540805982) < 1e-6
+    # sqrt(8*U_barr/(I_eff*psi_eq^2)) with the 40-digit U_barr of
+    # test_postbuckle.py::test_energy_barrier_reference_values and psi_eq = 39 deg
+    assert abs(well.omega_well - 739.8112326317864) < 1e-6
     # curvature consistency: U''(psi_eq) = I_eff*omega_well^2 = 8 U_barr / psi_eq^2
     curv = well.I_eff * well.omega_well**2
     assert abs(curv / (8.0 * well.U_barr / well.psi_eq**2) - 1.0) < 1e-12
@@ -94,8 +96,10 @@ def _tau(zeta):
 def test_triggered_snap_durations(pneumatic_well):
     air = _measured_duration(pneumatic_well(0.05))
     water = _measured_duration(pneumatic_well(0.8))
-    assert abs(air - 0.004798878955690383) < 1e-9
-    assert abs(water - 0.013730079297454265) < 1e-9
+    # tau(zeta)/omega_well: the n_grid-257 pins 0.004798878955690383 and
+    # 0.013730079297454265 scaled by sqrt(U_barr(257)/U_barr) at 40 digits
+    assert abs(air - 0.0047988622320517) < 1e-9
+    assert abs(water - 0.013730031449428) < 1e-9
     assert 2.0 <= water / air <= 4.0
 
 
@@ -158,6 +162,19 @@ def test_unstable_step_is_caught(pneumatic_well):
             dt=10.0 / well.omega_well,
             T=3000.0 / well.omega_well,
         )
+
+
+@pytest.mark.parametrize(
+    "U_barr, psi_eq, I_eff", [(1e300, 1.0, 1e-10), (1e-300, 1.0, 1e300), (1.0, 1e-10, 1e-320)]
+)
+def test_well_frequency_out_of_range_raises(U_barr, psi_eq, I_eff):
+    # omega_well overflows to inf, underflows to 0, or divides by an
+    # I_eff*psi_eq^2 that underflowed to 0: the trace's dt would be 0 or inf
+    well = snapdyn.DoubleWell(U_barr=U_barr, psi_eq=psi_eq, I_eff=I_eff, zeta=0.05)
+    with pytest.raises(NonFinite, match="omega_well"):
+        snapdyn.triggered_snap(well)
+    with pytest.raises(NonFinite, match="omega_well"):
+        snapdyn.simulate_snap(well, psi0=-psi_eq, psi_dot0=0.0, dt=1e-3, T=1.0)
 
 
 def test_damped_trace_settles_in_far_well(pneumatic_well):

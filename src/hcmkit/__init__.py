@@ -24,6 +24,7 @@ from .core import (
     bistability_margin,
     derive_lengths,
     section_properties,
+    snap_timescale,
 )
 from .errors import (
     ConfigError,
@@ -56,7 +57,6 @@ from .snapdyn import (
     effective_inertia,
     simulate_snap,
     snap_duration,
-    snap_timescale,
     triggered_snap,
 )
 

@@ -120,7 +120,7 @@ def _analysis_record(cfg: config.ParsedConfig, calib, geom=None) -> dict:
         "P_cr_N": None,
         "U_barr_J": None,
         "U_barr_unitless": None,
-        "t_star_ms": snapdyn.snap_timescale(geom, cfg.mat) * 1e3,
+        "t_star_ms": core.snap_timescale(geom, cfg.mat) * 1e3,
         "bistable": bool(margin["bistable"]),
         "beta_deg": math.degrees(margin["beta"]),
     }
@@ -205,6 +205,10 @@ def cmd_sweep(args) -> int:
                 h=cfg.geom.h,
                 t=cfg.geom.t,
             )
+            try:
+                config.check_scales(geom, cfg.mat, cfg.options.corrected_torsion)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep cell theta_deg={theta_deg!r}, gamma_s={gamma_s!r}: {exc}")
             rec = _analysis_record(cfg, calib, geom)
             keys = ("psi_l_deg", "U_barr_unitless", "t_star_ms", "bistable")
             rows.append([_cell(v) for v in (theta_deg, gamma_s, *(rec[k] for k in keys))])

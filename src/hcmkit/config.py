@@ -12,18 +12,53 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .core import MATERIAL_PRESETS, Material, RibbonGeometry, derive_lengths
+from .core import (MATERIAL_PRESETS, Material, RibbonGeometry, SectionProperties,
+                   section_properties, snap_timescale)
 from .errors import ConfigError
-from .snapdyn import DAMPING_PRESETS, MAX_ZETA
+from .snapdyn import DAMPING_PRESETS, MAX_ZETA, effective_inertia
 from .swim import DEFAULT_K_DRAG, Waveform
 
-__all__ = ["OptionsBlock", "HydroBlock", "ParsedConfig", "load_config", "parse_config"]
+__all__ = [
+    "OptionsBlock", "HydroBlock", "ParsedConfig", "check_scales", "load_config", "parse_config"
+]
 
 # options.n_grid selects nothing: the beam reduction uses the Mathieu constants
 # of buckling, not a grid. The key stays accepted and range-checked only while
 # callers still pass it.
 MIN_N_GRID = 64
 MAX_N_GRID = 4097
+
+# The scales the model derives from a whole design: (name, the config fields it
+# reads, the model's own function of geom, mat and section). A product can leave
+# the float range while each factor is inside it, so check_scales evaluates these.
+SCALES = (
+    ("snap timescale t*", "geometry.L1_mm geometry.gamma_s geometry.t_mm material.E_GPa "
+     "material.rho_kg_m3", lambda geom, mat, sec: snap_timescale(geom, mat)),
+    ("inertia I_eff", "geometry.L1_mm geometry.gamma_s geometry.h_mm geometry.t_mm "
+     "material.rho_kg_m3", lambda geom, mat, sec: effective_inertia(geom, mat)),
+    ("bending stiffness EI_eta", "geometry.h_mm geometry.t_mm material.E_GPa",
+     lambda geom, mat, sec: mat.E * sec.I_eta),
+    ("torsional stiffness GJ", "geometry.h_mm geometry.t_mm material.E_GPa material.nu "
+     "options.corrected_torsion", lambda geom, mat, sec: sec.G * sec.J),
+)
+
+
+def check_scales(geom: RibbonGeometry, mat: Material, corrected_torsion: bool = False) -> None:
+    """ConfigError naming the fields of the first of SCALES that is not positive and finite."""
+    try:
+        sec = section_properties(geom, mat, corrected_torsion)
+    except OverflowError:  # t^3 is beyond the float range: EI_eta and GJ are inf
+        sec = SectionProperties(I_eta=math.inf, J=math.inf, G=math.inf)
+    for name, fields, scale in SCALES:
+        try:
+            ok = 0.0 < scale(geom, mat, sec) < math.inf
+        except ArithmeticError:  # a float power that overflows, or a division by 0
+            ok = False
+        if not ok:
+            *head, last = fields.split()
+            raise ConfigError(
+                f"fields {', '.join(head)} and {last} give a {name} out of the float range"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,33 +112,20 @@ def _parse_geometry(block) -> RibbonGeometry:
     if not isinstance(block, dict):
         raise ConfigError("geometry must be an object")
     _check_keys(block, ("L1_mm", "gamma_s", "theta_deg", "h_mm", "t_mm"), "geometry")
-    geom = RibbonGeometry(
+    return RibbonGeometry(
         L1=_number(block, "L1_mm", "geometry") * 1e-3,
         gamma_s=_number(block, "gamma_s", "geometry"),
         theta=math.radians(_number(block, "theta_deg", "geometry")),
         h=_number(block, "h_mm", "geometry") * 1e-3,
         t=_number(block, "t_mm", "geometry") * 1e-3,
     )
-    # The model squares the blank length 2l and cubes l and t: a float power
-    # that overflows raises, and an inertia l^3 that underflows divides by 0.
-    two_l = derive_lengths(geom)["two_l"]
-    if not sys.float_info.min <= two_l * two_l * two_l < math.inf:
-        raise ConfigError(
-            f"fields geometry.L1_mm and geometry.gamma_s give a blank length of {two_l:.6g} m, "
-            "whose cube is out of the float range"
-        )
-    if not math.isfinite(geom.t * geom.t * geom.t):
-        raise ConfigError(f"field geometry.t_mm is too large to cube, got {block['t_mm']!r}")
-    return geom
 
 
 def _parse_material(block):
     if isinstance(block, str):
         if block not in MATERIAL_PRESETS:
-            raise ConfigError(
-                f"unknown material preset {block!r}; "
-                f"known: {', '.join(sorted(MATERIAL_PRESETS))}"
-            )
+            known = ", ".join(sorted(MATERIAL_PRESETS))
+            raise ConfigError(f"unknown material preset {block!r}; known: {known}")
         return MATERIAL_PRESETS[block], block
     if not isinstance(block, dict):
         raise ConfigError("material must be a preset name or an object")
@@ -112,19 +134,11 @@ def _parse_material(block):
     # The only unit conversion that scales up: 1e300 GPa is finite, 1e309 Pa is not.
     if not math.isfinite(E_GPa * 1e9):
         raise ConfigError(f"field material.E_GPa must be finite in Pa, got {E_GPa!r} GPa")
-    mat = Material(
+    return Material(
         E=E_GPa * 1e9,
         nu=_number(block, "nu", "material"),
         rho=_number(block, "rho_kg_m3", "material"),
-    )
-    # t* divides by the wave speed: an E/rho that overflows or underflows gives 0 or inf.
-    wave_speed = math.sqrt(mat.E / mat.rho)
-    if not 0.0 < wave_speed < math.inf:
-        raise ConfigError(
-            f"fields material.E_GPa and material.rho_kg_m3 give a wave speed sqrt(E/rho) "
-            f"of {wave_speed:.6g} m/s, out of the float range"
-        )
-    return mat, "custom"
+    ), "custom"
 
 
 def _parse_options(block) -> OptionsBlock:
@@ -159,9 +173,8 @@ def _parse_options(block) -> OptionsBlock:
                         f"damping ratio the snap step integrates stably; got {z!r}"
                     )
                 damping[medium] = z
-    return OptionsBlock(
-        corrected_torsion=corrected, n_grid=n_grid, n_links=n_links, damping=damping
-    )
+    return OptionsBlock(corrected_torsion=corrected, n_grid=n_grid, n_links=n_links,
+                        damping=damping)
 
 
 def _parse_hydro(block) -> HydroBlock | None:
@@ -175,17 +188,15 @@ def _parse_hydro(block) -> HydroBlock | None:
     if mass <= 0.0 or body_length <= 0.0:
         raise ConfigError("hydro.mass_kg and hydro.body_length_cm must be positive")
     k_drag = _number(block, "k_drag_kg_m", "hydro", required=False, default=DEFAULT_K_DRAG)
-    ref_wave = None
-    ref_speed = None
+    if k_drag <= 0.0:
+        raise ConfigError("hydro.k_drag_kg_m must be positive")
+    ref_wave = ref_speed = None
     if "reference" in block:
         ref = block["reference"]
         if not isinstance(ref, dict):
             raise ConfigError("hydro.reference must be an object")
-        _check_keys(
-            ref,
-            ("kind", "amplitude_deg", "frequency_hz", "snap_time_ms", "speed_cm_s"),
-            "hydro.reference",
-        )
+        keys = ("kind", "amplitude_deg", "frequency_hz", "snap_time_ms", "speed_cm_s")
+        _check_keys(ref, keys, "hydro.reference")
         kind = ref.get("kind")
         if kind not in ("sinusoid", "bistable"):
             raise ConfigError("hydro.reference.kind must be sinusoid or bistable")
@@ -203,26 +214,21 @@ def _parse_hydro(block) -> HydroBlock | None:
             raise ConfigError(
                 f"field hydro.reference.speed_cm_s is too large to square, got {ref['speed_cm_s']!r}"
             )
-    return HydroBlock(
-        mass=mass,
-        body_length=body_length,
-        k_drag=k_drag,
-        reference_waveform=ref_wave,
-        reference_speed=ref_speed,
-    )
+    return HydroBlock(mass=mass, body_length=body_length, k_drag=k_drag,
+                      reference_waveform=ref_wave, reference_speed=ref_speed)
 
 
 def parse_config(payload: dict) -> ParsedConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config root must be an object")
     _check_keys(payload, ("geometry", "material", "options", "hydro", "swim"), "config")
-    if "geometry" not in payload:
-        raise ConfigError("missing required block: geometry")
-    if "material" not in payload:
-        raise ConfigError("missing required block: material")
+    for name in ("geometry", "material"):
+        if name not in payload:
+            raise ConfigError(f"missing required block: {name}")
     geom = _parse_geometry(payload["geometry"])
     mat, mat_name = _parse_material(payload["material"])
     options = _parse_options(payload.get("options"))
+    check_scales(geom, mat, options.corrected_torsion)
     hydro = _parse_hydro(payload.get("hydro"))
     snap_override = None
     if "swim" in payload:
@@ -235,14 +241,8 @@ def parse_config(payload: dict) -> ParsedConfig:
             if snap_override <= 0.0:
                 raise ConfigError("swim.snap_time_ms must be positive")
             snap_override *= 1e-3
-    return ParsedConfig(
-        geom=geom,
-        mat=mat,
-        material_name=mat_name,
-        options=options,
-        hydro=hydro,
-        snap_time_override=snap_override,
-    )
+    return ParsedConfig(geom=geom, mat=mat, material_name=mat_name, options=options,
+                        hydro=hydro, snap_time_override=snap_override)
 
 
 def load_config(path) -> ParsedConfig:

@@ -1,4 +1,5 @@
-"""Canonical domain types, section properties, and the bistability criterion.
+"""Canonical domain types, section properties, the bistability criterion and
+the snap timescale.
 
 All quantities are SI (meters, pascals, kilograms, seconds, radians).
 Degrees and millimeters exist only at the config/CLI boundary.
@@ -19,6 +20,7 @@ __all__ = [
     "derive_lengths",
     "section_properties",
     "bistability_margin",
+    "snap_timescale",
 ]
 
 
@@ -119,3 +121,9 @@ def bistability_margin(geom: RibbonGeometry) -> dict:
     """beta = asin(1/gamma_s) + theta. The assembly is bistable iff beta > 0."""
     beta = math.asin(1.0 / geom.gamma_s) + geom.theta
     return {"beta": beta, "bistable": beta > 0.0}
+
+
+def snap_timescale(geom: RibbonGeometry, mat: Material) -> float:
+    """Elastic-wave snap timescale t* = (2l)^2 / (t*sqrt(E/rho))."""
+    two_l = derive_lengths(geom)["two_l"]
+    return two_l**2 / (geom.t * math.sqrt(mat.E / mat.rho))

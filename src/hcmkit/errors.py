@@ -53,6 +53,3 @@ class StepTooLarge(HcmError):
 class NonFinite(HcmError):
     """Integration overflowed to inf/nan."""
 
-
-class DtTooLarge(ConfigError):
-    """Waveform sampling step too coarse for the requested waveform."""

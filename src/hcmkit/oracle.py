@@ -41,7 +41,6 @@ __all__ = [
     "find_equilibrium",
     "find_saddle",
     "oracle_report",
-    "gradient_check",
     "nodes_to_csv",
 ]
 
@@ -283,10 +282,9 @@ def find_equilibrium(ribbon: DiscreteRibbon, side: str) -> ChainState:
 
 def find_saddle(ribbon: DiscreteRibbon, well: ChainState) -> ChainState:
     """Lowest mirror-symmetric configuration, reached by ramping the
-    z-antisymmetry penalty from the plus-side well."""
-    state = _solve(ribbon, well.q, SADDLE_SCHEDULE, "saddle solve")
-    state.iterations += well.iterations
-    return state
+    z-antisymmetry penalty from the plus-side well. Its iterations are the
+    saddle solve's own, not the well's."""
+    return _solve(ribbon, well.q, SADDLE_SCHEDULE, "saddle solve")
 
 
 def oracle_report(geom: RibbonGeometry, mat: Material, n_links: int = 60) -> OracleResult:
@@ -304,31 +302,6 @@ def oracle_report(geom: RibbonGeometry, mat: Material, n_links: int = 60) -> Ora
         converged=plus.converged and minus.converged and saddle.converged,
         iterations=plus.iterations + minus.iterations + saddle.iterations,
     )
-
-
-def gradient_check(
-    ribbon: DiscreteRibbon, n_configs: int = 10, k_pen: float = 1e4, k_sad: float = 1e3
-) -> float:
-    """Max relative error of the analytic gradient against central differences
-    at random configurations (fixed RNG seed; deterministic)."""
-    m = ribbon.n_links - 1
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    eps = 1e-7
-    for _ in range(n_configs):
-        q = 0.2 * rng.standard_normal(3 * m)
-        _, _, g, _, _, _ = _energy_grad(ribbon, q, k_pen, k_sad)
-        for i in rng.choice(3 * m, 5, replace=False):
-            qp = q.copy()
-            qp[i] += eps
-            qm = q.copy()
-            qm[i] -= eps
-            fd = (
-                _energy_grad(ribbon, qp, k_pen, k_sad)[0]
-                - _energy_grad(ribbon, qm, k_pen, k_sad)[0]
-            ) / (2.0 * eps)
-            worst = max(worst, abs(fd - g[i]) / max(1.0, abs(fd)))
-    return worst
 
 
 def nodes_to_csv(state: ChainState) -> str:

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from . import snapdyn
 from .buckling import BucklingMode, critical_load
-from .core import Material, RibbonGeometry, bistability_margin, derive_lengths, section_properties
+from .core import (Material, RibbonGeometry, bistability_margin, derive_lengths,
+                   section_properties, snap_timescale)
 from .errors import DegenerateAnchor, NotBistable, NotCalibrated
 
 __all__ = [
@@ -129,7 +129,7 @@ def analyze(
         U_barr=barrier["U_barr"],
         U_barr_unitless=barrier["U_barr_unitless"],
         P_cr=mode.P_cr,
-        t_star=snapdyn.snap_timescale(geom, mat),
+        t_star=snap_timescale(geom, mat),
     )
 
 

@@ -1,4 +1,4 @@
-"""Snap-through timescale and a single-DOF double-well snap simulator.
+"""A single-DOF double-well snap simulator.
 
 The reduced model is a quartic double well in the tip angle psi,
 
@@ -37,7 +37,6 @@ __all__ = [
     "SnapTrace",
     "DAMPING_PRESETS",
     "MAX_ZETA",
-    "snap_timescale",
     "effective_inertia",
     "simulate_snap",
     "snap_duration",
@@ -74,12 +73,6 @@ class SnapTrace:
     psi_dot: np.ndarray
     kinetic: np.ndarray
     potential: np.ndarray
-
-
-def snap_timescale(geom: RibbonGeometry, mat: Material) -> float:
-    """Elastic-wave snap timescale t* = (2l)^2 / (t*sqrt(E/rho))."""
-    two_l = derive_lengths(geom)["two_l"]
-    return two_l**2 / (geom.t * math.sqrt(mat.E / mat.rho))
 
 
 def effective_inertia(geom: RibbonGeometry, mat: Material) -> float:

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DtTooLarge, NonFinite
+from .errors import ConfigError, NonFinite
 
 __all__ = [
     "Waveform",
     "HydroFit",
     "SwimResult",
-    "waveform_series",
     "mean_square_tip_rate",
     "fit_hydro",
     "steady_speed",
@@ -93,43 +92,6 @@ class SwimResult:
     v_trace: np.ndarray
     accel0: float
     speed_BL_s: float
-
-
-def waveform_series(w: Waveform, dt: float, T: float):
-    """Sampled (time, psi, psi_dot).
-
-    The bistable pattern dwells at -amplitude, ramps linearly to +amplitude
-    over snap_time, dwells, and ramps back: two transitions per period with
-    peak rate 2*amplitude/snap_time.
-    """
-    limit = 1.0 / (50.0 * w.frequency)
-    if w.kind == "bistable":
-        limit = min(limit, w.snap_time / 10.0)
-    if dt > limit:
-        raise DtTooLarge(f"dt = {dt:.3g} s too coarse; need dt <= {limit:.3g} s")
-    t = np.arange(0.0, T + 0.5 * dt, dt)
-    if w.kind == "sinusoid":
-        omega = 2.0 * math.pi * w.frequency
-        return t, w.amplitude * np.sin(omega * t), w.amplitude * omega * np.cos(omega * t)
-
-    period = 1.0 / w.frequency
-    ts = w.snap_time
-    rate = 2.0 * w.amplitude / ts
-    u = np.mod(t, period)
-    psi = np.empty_like(t)
-    dpsi = np.zeros_like(t)
-    half = 0.5 * period
-    ramp1 = u < ts
-    dwell1 = (u >= ts) & (u < half)
-    ramp2 = (u >= half) & (u < half + ts)
-    psi[ramp1] = -w.amplitude + rate * u[ramp1]
-    dpsi[ramp1] = rate
-    psi[dwell1] = w.amplitude
-    psi[ramp2] = w.amplitude - rate * (u[ramp2] - half)
-    dpsi[ramp2] = -rate
-    rest = ~(ramp1 | dwell1 | ramp2)
-    psi[rest] = -w.amplitude
-    return t, psi, dpsi
 
 
 def mean_square_tip_rate(w: Waveform) -> float:

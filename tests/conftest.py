@@ -71,6 +71,31 @@ def unit_grid_mode(n_grid):
     return lam_hat, phi, m_hat
 
 
+def gradient_check(
+    ribbon: oracle.DiscreteRibbon, n_configs: int = 10, k_pen: float = 1e4, k_sad: float = 1e3
+) -> float:
+    """Max relative error of the analytic gradient against central differences
+    at random configurations (fixed RNG seed; deterministic)."""
+    m = ribbon.n_links - 1
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    eps = 1e-7
+    for _ in range(n_configs):
+        q = 0.2 * rng.standard_normal(3 * m)
+        _, _, g, _, _, _ = oracle._energy_grad(ribbon, q, k_pen, k_sad)
+        for i in rng.choice(3 * m, 5, replace=False):
+            qp = q.copy()
+            qp[i] += eps
+            qm = q.copy()
+            qm[i] -= eps
+            fd = (
+                oracle._energy_grad(ribbon, qp, k_pen, k_sad)[0]
+                - oracle._energy_grad(ribbon, qm, k_pen, k_sad)[0]
+            ) / (2.0 * eps)
+            worst = max(worst, abs(fd - g[i]) / max(1.0, abs(fd)))
+    return worst
+
+
 def run_cli(args, cwd=None):
     """Run this checkout's CLI in a subprocess; returns CompletedProcess with text output."""
     return run_python(["-m", "hcmkit.cli", *args], cwd=cwd)

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import CONFIGS, GOLDEN, run_cli
+from conftest import CONFIGS, GOLDEN, gradient_check, run_cli
 from hcmkit import buckling, core, oracle, postbuckle, snapdyn, swim
 
 PLASTIC = core.MATERIAL_PRESETS["plastic"]
@@ -31,9 +31,9 @@ def _geom(theta_deg, gamma_s, L1_mm=12.5, h_mm=15.0, t_mm=0.381):
 
 def test_acceptance_1_snap_timescales():
     t0 = time.perf_counter()
-    pneumatic = snapdyn.snap_timescale(_geom(-3.0, 6.0), PLASTIC) * 1e3
-    steel = snapdyn.snap_timescale(_geom(-3.0, 6.0, t_mm=0.254), core.MATERIAL_PRESETS["steel"]) * 1e3
-    untethered = snapdyn.snap_timescale(_geom(-23.5, 2.0, L1_mm=29.0, t_mm=0.762), PLASTIC) * 1e3
+    pneumatic = core.snap_timescale(_geom(-3.0, 6.0), PLASTIC) * 1e3
+    steel = core.snap_timescale(_geom(-3.0, 6.0, t_mm=0.254), core.MATERIAL_PRESETS["steel"]) * 1e3
+    untethered = core.snap_timescale(_geom(-23.5, 2.0, L1_mm=29.0, t_mm=0.762), PLASTIC) * 1e3
     elapsed = time.perf_counter() - t0
     print(f"t* [ms]: pneumatic {pneumatic:.3f}, steel {steel:.3f}, "
           f"untethered {untethered:.3f} ({elapsed * 1e3:.0f} ms)")
@@ -123,7 +123,7 @@ def test_acceptance_4_discrete_chain_grid(calibration):
 
 
 def test_acceptance_5_chain_internal_checks(pneumatic_ribbon, pneumatic_wells):
-    worst_grad = oracle.gradient_check(pneumatic_ribbon, 10)
+    worst_grad = gradient_check(pneumatic_ribbon, 10)
     plus, minus = pneumatic_wells
     mirror = abs(plus.energy - minus.energy) / max(abs(plus.energy), abs(minus.energy))
 
@@ -154,7 +154,7 @@ def test_acceptance_6_snap_dynamics(calibration):
     period = 2.0 * math.pi / w0.omega_well
     tr = snapdyn.simulate_snap(
         w0, psi0=-1e-3 * w0.psi_eq, psi_dot0=1e-2 * w0.omega_well * w0.psi_eq,
-        dt=snapdyn.snap_timescale(g, PLASTIC) / 500.0, T=10.0 * period,
+        dt=core.snap_timescale(g, PLASTIC) / 500.0, T=10.0 * period,
     )
     E = tr.kinetic + tr.potential
     drift = float(np.max(np.abs(E - E[0]))) / w0.U_barr

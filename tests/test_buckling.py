@@ -182,7 +182,7 @@ def test_closed_form_reference_value(pneumatic_geom, plastic):
     strict=True,
     reason="numeric eigenvalue sits 18.9% below the sinusoid-ansatz closed form "
     "(ratio 0.8112, a universal constant); the documented 15% bound is not "
-    "attainable. See the decisions ledger.",
+    "attainable. See the Decisions section of README.md.",
 )
 def test_numeric_within_15_percent_of_closed_form(pneumatic_geom, plastic):
     mode = buckling.critical_load(pneumatic_geom, plastic)

@@ -94,6 +94,10 @@ def test_options_overrides(tmp_path):
         (lambda p: p.update(options={"n_grid": 200000}), "options.n_grid"),
         (lambda p: p.update(options={"mystery": 1}), "mystery"),
         (lambda p: p.update(hydro={"mass_kg": 0.1}), "body_length_cm"),
+        (lambda p: p.update(hydro={"mass_kg": 0.1, "body_length_cm": 20.0, "k_drag_kg_m": -1.0}),
+         "hydro.k_drag_kg_m"),
+        (lambda p: p.update(hydro={"mass_kg": 0.1, "body_length_cm": 20.0, "k_drag_kg_m": 0}),
+         "hydro.k_drag_kg_m"),
         (lambda p: p.update(swim={"snap_time_ms": -5.0}), "snap_time_ms"),
         (lambda p: p.update(bogus_block={}), "bogus"),
         (lambda p: p["geometry"].update(gamma_s=math.inf), "gamma_s"),
@@ -194,3 +198,93 @@ def test_config_mutations_never_end_in_internal_error(name, data):
                 code = cli.main([*command, "--config", path])
             assert code in (0, 2, 3), (command, payload, err.getvalue())
             assert "internal error" not in err.getvalue(), (command, payload, err.getvalue())
+
+
+# Printed fields that carry a model scale: on exit 0 each must be positive and finite.
+_SCALE_FIELDS = {"t_star_ms", "P_cr_N", "U_barr_J", "U_barr_unitless", "psi_l_deg",
+                 "duration_ms", "v_steady_m_s", "u_barr_unitless"}
+
+
+def _scale_values(node):
+    """Every value under a key of _SCALE_FIELDS in a JSON document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            if key in _SCALE_FIELDS:
+                yield key, child
+            else:
+                yield from _scale_values(child)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_DECADES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    data=st.fixed_dictionaries({
+        "L1_mm": _DECADES, "h_mm": _DECADES, "t_mm": _DECADES,
+        "E_GPa": _DECADES, "rho_kg_m3": _DECADES,
+        "gamma_s": st.floats(-15.0, 300.0).map(lambda e: 1.0 + 10.0**e),
+    })
+)
+def test_log_uniform_designs_exit_2_or_print_positive_finite_scales(data):
+    # no run ends in an internal error, and a run that exits 0 prints only
+    # positive, finite scales
+    payload = json.loads((CONFIGS / "pneumatic.json").read_text())
+    payload["material"] = {"E_GPa": data.pop("E_GPa"), "nu": 0.35,
+                           "rho_kg_m3": data.pop("rho_kg_m3")}
+    payload["geometry"].update(data)
+    theta, gamma = payload["geometry"]["theta_deg"], payload["geometry"]["gamma_s"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "design.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        for argv in (
+            ["analyze"],
+            ["sweep", f"--theta={theta!r}:{theta!r}:1", f"--gamma={gamma!r}:{gamma!r}:1"],
+            ["snap"],
+            ["swim", "--compare"],
+        ):
+            code, out, err = _run_in_process([*argv, "--config", path, "--out", tmp])
+            assert code in (0, 2, 3), (argv, payload, err)
+            assert "internal error" not in err, (argv, payload, err)
+            if code != 0:
+                continue
+            values = list(_scale_values(json.loads(out)))
+            if argv[0] == "sweep":
+                with open(os.path.join(tmp, "sweep.csv"), encoding="utf-8") as fh:
+                    header, row = fh.read().split()
+                values += [(k, float(v)) for k, v in zip(header.split(","), row.split(","))
+                           if k in _SCALE_FIELDS and v]
+            for key, val in values:
+                assert val is None or 0.0 < val < math.inf, (argv, key, val, payload)
+
+
+@pytest.mark.parametrize(
+    "geometry,material,argv,fragment",
+    [
+        # t*sqrt(E/rho) underflows to 0: t* divided by zero
+        ({"t_mm": 5.83e-195}, {"E_GPa": 3.73e-170, "nu": 0.35, "rho_kg_m3": 4.47e154},
+         ["analyze"], "material.rho_kg_m3"),
+        # a mono-stable design whose t* underflows to 0
+        ({"gamma_s": 2.0, "theta_deg": -35.0, "L1_mm": 1e-100, "t_mm": 1e100, "h_mm": 1e101},
+         {"E_GPa": 1e290, "nu": 0.35, "rho_kg_m3": 1e-8}, ["analyze"], "geometry.L1_mm"),
+        # a sweep cell whose blank length squared overflows
+        ({}, "plastic", ["sweep", "--theta=-3:-3:1", "--gamma=1e200:1e200:1"], "gamma_s=1e+200"),
+    ],
+    ids=["t_star_divides_by_zero", "t_star_underflows", "sweep_cell_overflows"],
+)
+def test_out_of_range_scales_exit_2_naming_fields(tmp_path, geometry, material, argv, fragment):
+    payload = json.loads((CONFIGS / "pneumatic.json").read_text())
+    payload["geometry"].update(geometry)
+    payload["material"] = material
+    code, out, err = _run_in_process([*argv, "--config", str(_write(tmp_path, payload)),
+                                      "--out", str(tmp_path)])
+    assert code == 2, (out, err)
+    assert fragment in err and "give a" in err, err

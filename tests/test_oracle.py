@@ -8,6 +8,8 @@ import pytest
 from hcmkit import core, oracle
 from hcmkit.errors import TooCoarse
 
+from conftest import gradient_check
+
 # Dimensionless chain energies (units of EI_eta/l) for the 60-link pneumatic
 # build, frozen from the first converged run of this solver.
 WELL_ND = 13.8177
@@ -96,8 +98,18 @@ def test_saddle_and_barrier(pneumatic_ribbon, pneumatic_wells, pneumatic_saddle)
     assert abs(math.degrees(saddle.psi_tip)) < 10.0
 
 
+def test_saddle_reports_only_its_own_iterations(monkeypatch, pneumatic_ribbon):
+    # oracle_report adds the wells' iterations itself, so a saddle that also
+    # carried its starting well's would count that well twice
+    well = oracle.ChainState(q=np.zeros(3), energy=0.0, psi_tip=0.0, gap=0.0, iterations=635,
+                             converged=True, node_positions=np.zeros((2, 3)))
+    monkeypatch.setattr(oracle, "_solve",
+                        lambda ribbon, q, schedule, what: dataclasses.replace(well, iterations=7))
+    assert oracle.find_saddle(pneumatic_ribbon, well).iterations == 7
+
+
 def test_gradient_matches_finite_differences(pneumatic_ribbon):
-    assert oracle.gradient_check(pneumatic_ribbon) < 1e-5
+    assert gradient_check(pneumatic_ribbon) < 1e-5
 
 
 @pytest.mark.parametrize("n_links", [20, 60])

@@ -32,18 +32,18 @@ def untethered_well(plastic, calibration):
 
 
 def test_snap_timescales(pneumatic_geom, plastic):
-    assert abs(snapdyn.snap_timescale(pneumatic_geom, plastic) * 1e3 - 66.94508435832583) < 1e-9
+    assert abs(core.snap_timescale(pneumatic_geom, plastic) * 1e3 - 66.94508435832583) < 1e-9
 
     steel = core.MATERIAL_PRESETS["steel"]
     g_steel = core.RibbonGeometry(
         L1=12.5e-3, gamma_s=6.0, theta=math.radians(-3.0), h=15e-3, t=0.254e-3
     )
-    assert abs(snapdyn.snap_timescale(g_steel, steel) * 1e3 - 23.887033096746773) < 1e-9
+    assert abs(core.snap_timescale(g_steel, steel) * 1e3 - 23.887033096746773) < 1e-9
 
     unt = core.RibbonGeometry(
         L1=29e-3, gamma_s=2.0, theta=math.radians(-23.5), h=15e-3, t=0.762e-3
     )
-    assert abs(snapdyn.snap_timescale(unt, plastic) * 1e3 - 33.09109182094159) < 1e-9
+    assert abs(core.snap_timescale(unt, plastic) * 1e3 - 33.09109182094159) < 1e-9
 
 
 def test_effective_inertia(pneumatic_geom, plastic):
@@ -75,7 +75,7 @@ def test_well_shape(pneumatic_well):
 
 def test_energy_conservation_undamped(pneumatic_geom, plastic, pneumatic_well):
     well = pneumatic_well(0.0)
-    dt = snapdyn.snap_timescale(pneumatic_geom, plastic) / 500.0
+    dt = core.snap_timescale(pneumatic_geom, plastic) / 500.0
     T = 10.0 * 2.0 * math.pi / well.omega_well
     tr = snapdyn.simulate_snap(
         well, psi0=-1e-3 * well.psi_eq, psi_dot0=1e-2 * well.omega_well * well.psi_eq, dt=dt, T=T
@@ -112,7 +112,7 @@ def test_damping_presets():
     strict=True,
     reason="zeta = 0.5 lands at a water/air duration ratio of 1.970, just "
     "below the [2, 4] band; shipped water preset is 0.8 (ratio 2.861). "
-    "See the decisions ledger.",
+    "See the Decisions section of README.md.",
 )
 def test_half_critical_water_hits_band(pneumatic_well):
     air = _measured_duration(pneumatic_well(0.05))
@@ -124,11 +124,11 @@ def test_half_critical_water_hits_band(pneumatic_well):
     strict=True,
     reason="the fitted well transits in ~4.8 ms while the material timescale "
     "argument suggests ~67 ms; factor 0.072 is far outside [0.3, 3]. "
-    "See the decisions ledger.",
+    "See the Decisions section of README.md.",
 )
 def test_air_duration_tracks_material_timescale(pneumatic_geom, plastic, pneumatic_well):
     air = _measured_duration(pneumatic_well(0.05))
-    t_star = snapdyn.snap_timescale(pneumatic_geom, plastic)
+    t_star = core.snap_timescale(pneumatic_geom, plastic)
     assert 0.3 <= air / t_star <= 3.0
 
 
@@ -249,7 +249,7 @@ def test_half_critical_ratio_is_1_970():
 
 def test_transit_factor_is_tau_over_omega_t_star(pneumatic_geom, plastic, pneumatic_well):
     well = pneumatic_well(0.05)
-    t_star = snapdyn.snap_timescale(pneumatic_geom, plastic)
+    t_star = core.snap_timescale(pneumatic_geom, plastic)
     factor = _tau(0.05) / (well.omega_well * t_star)
     assert abs(_measured_duration(well) / t_star - factor) <= 1e-12
     assert abs(factor - 0.072) <= 5e-4

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Material, RibbonGeometry, bistability_margin, derive_lengths, section_properties
+from .core import (Material, RibbonGeometry, SectionProperties, bistability_margin,
+                   derive_lengths, section_properties)
 from .errors import EigenFailure, NotBistable
 
 __all__ = [
@@ -66,6 +67,11 @@ def _kink(geom: RibbonGeometry) -> tuple[float, float, float]:
     return margin["beta"], l, (l / math.pi) * math.sin(margin["beta"])
 
 
+def coupling_product(sec: SectionProperties, mat: Material) -> float:
+    """MU*GJ*EI_eta, the square of P_cr*l*A_ini; neither theta nor gamma_s enters it."""
+    return MU * sec.G * sec.J * mat.E * sec.I_eta
+
+
 def critical_load(
     geom: RibbonGeometry,
     mat: Material,
@@ -79,7 +85,7 @@ def critical_load(
     """
     beta, l, A_ini = _kink(geom)
     sec = section_properties(geom, mat, corrected_torsion=corrected_torsion)
-    root = math.sqrt(MU * sec.G * sec.J * mat.E * sec.I_eta)
+    root = math.sqrt(coupling_product(sec, mat))
     # l*A_ini underflows to 0 for l below about 1e-161 m.
     P_cr = root / (l * A_ini) if l * A_ini > 0.0 else math.inf
     if not 0.0 < P_cr < math.inf:

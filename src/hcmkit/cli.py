@@ -133,6 +133,13 @@ def _analysis_record(cfg: config.ParsedConfig, calib, geom=None) -> dict:
             U_barr_J=res.U_barr,
             U_barr_unitless=res.U_barr_unitless,
         )
+        # U_barr*L1 can underflow where each design-wide scale is in range
+        if not 0.0 < res.U_barr_unitless < math.inf:
+            raise ConfigError(
+                "fields geometry.L1_mm, geometry.gamma_s, geometry.theta_deg, geometry.h_mm, "
+                "geometry.t_mm, material.E_GPa, material.nu and options.corrected_torsion give a "
+                f"U_barr_unitless of {res.U_barr_unitless!r}, out of the float range"
+            )
     return record
 
 
@@ -207,9 +214,9 @@ def cmd_sweep(args) -> int:
             )
             try:
                 config.check_scales(geom, cfg.mat, cfg.options.corrected_torsion)
+                rec = _analysis_record(cfg, calib, geom)
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell theta_deg={theta_deg!r}, gamma_s={gamma_s!r}: {exc}")
-            rec = _analysis_record(cfg, calib, geom)
             keys = ("psi_l_deg", "U_barr_unitless", "t_star_ms", "bistable")
             rows.append([_cell(v) for v in (theta_deg, gamma_s, *(rec[k] for k in keys))])
     _write(args.out, "sweep.csv", _csv(SWEEP_HEADER, rows))

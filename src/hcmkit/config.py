@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from .buckling import coupling_product
 from .core import (MATERIAL_PRESETS, Material, RibbonGeometry, SectionProperties,
                    section_properties, snap_timescale)
 from .errors import ConfigError
@@ -40,6 +41,8 @@ SCALES = (
      lambda geom, mat, sec: mat.E * sec.I_eta),
     ("torsional stiffness GJ", "geometry.h_mm geometry.t_mm material.E_GPa material.nu "
      "options.corrected_torsion", lambda geom, mat, sec: sec.G * sec.J),
+    ("buckling product MU*GJ*EI_eta", "geometry.h_mm geometry.t_mm material.E_GPa material.nu "
+     "options.corrected_torsion", lambda geom, mat, sec: coupling_product(sec, mat)),
 )
 
 

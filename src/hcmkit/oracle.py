@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so that `import hcmkit`
+# and the CLI commands that build none skip its import.
 
 from .core import Material, RibbonGeometry, derive_lengths, section_properties
 from .errors import ConfigError, FellToOppositeSide, NoConvergence, TooCoarse
@@ -75,6 +76,8 @@ def _rot(a, i, j):
 
     (0, 1), (2, 0) and (1, 2) give the rotations about z, y and x.
     """
+    import numpy as np
+
     c, s = np.cos(a), np.sin(a)
     r = np.zeros((a.size, 3, 3))
     r[:, 0, 0] = r[:, 1, 1] = r[:, 2, 2] = 1.0
@@ -135,6 +138,8 @@ def _fk(ribbon: DiscreteRibbon, q):
     Joint j turns link j into link j + 1 by Rz(b_in)*Ry(b_out)*Rx(tau); its
     three rotation axes are R[j][:, 2], the returned y[j] and R[j + 1][:, 0].
     """
+    import numpy as np
+
     n = ribbon.n_links
     b_in, b_out, tau = q.reshape(3, n - 1)
     Rz = _rot(b_in, 0, 1)
@@ -158,6 +163,8 @@ def _energy_grad(ribbon: DiscreteRibbon, q, k_pen, k_sad=0.0):
     residuals, whose joint gradients collapse to suffix sums over node
     coefficients.
     """
+    import numpy as np
+
     n = ribbon.n_links
     m = n - 1
     k_in, k_out, k_tw = ribbon.k_in, ribbon.k_out, ribbon.k_tw
@@ -197,6 +204,8 @@ def _energy_grad(ribbon: DiscreteRibbon, q, k_pen, k_sad=0.0):
 def _solve(ribbon: DiscreteRibbon, q, schedule, what: str) -> ChainState:
     """Minimize from q through the (k_pen, k_sad) stages of schedule; the
     state in SI, with the iterations of all stages, or NoConvergence naming what."""
+    import numpy as np
+
     total_it = 0
     ok = True
     for kp, ks in schedule:
@@ -236,6 +245,8 @@ def build_discrete(geom: RibbonGeometry, mat: Material, n_links: int = 60) -> Di
     generic n_links this snaps the kink to the grid (at n_links = 60 and
     gamma_s = 6 the snap is 0.625 mm on an 87.5 mm half-length).
     """
+    import numpy as np
+
     if n_links < 20:
         raise TooCoarse(f"n_links must be at least 20, got {n_links}")
     if n_links > MAX_LINKS:
@@ -267,6 +278,8 @@ def build_discrete(geom: RibbonGeometry, mat: Material, n_links: int = 60) -> Di
 
 def find_equilibrium(ribbon: DiscreteRibbon, side: str) -> ChainState:
     """Minimize from the blank, seeded out-of-plane on the requested side."""
+    import numpy as np
+
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     sign = 1.0 if side == "plus" else -1.0

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so that `import hcmkit`
+# and the CLI commands that build none skip its import.
 
 from .core import Material, RibbonGeometry, derive_lengths
 from .errors import NoCrossing, NonFinite, StepTooLarge
@@ -93,6 +94,8 @@ def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
     A damped snap reaches such a state in its well; a NaN state never
     compares equal, so an overflow still runs to the last sample.
     """
+    import numpy as np
+
     x = np.empty(n + 1)
     v = np.empty(n + 1)
     xs = memoryview(x)
@@ -144,6 +147,8 @@ def _scaled_trace(well: DoubleWell, x: np.ndarray, v: np.ndarray, dt: float) -> 
     Raises NonFinite on overflow and, for zeta = 0, StepTooLarge if the total
     energy drifts more than 5% of U_barr.
     """
+    import numpy as np
+
     if not (math.isfinite(x[-1]) and math.isfinite(v[-1])):
         raise NonFinite("snap integration overflowed; reduce dt")
     U = well.U_barr
@@ -199,6 +204,8 @@ def simulate_snap(
 def _first_crossing(psi: np.ndarray, level: float) -> int:
     """Index j of the first sample pair with psi[j] and psi[j+1] on opposite
     sides of level, or either one on it."""
+    import numpy as np
+
     le = psi <= level
     ge = psi >= level
     hit = le[:-1] & ge[1:]
@@ -217,6 +224,8 @@ def snap_duration(trace: SnapTrace, psi_eq: float) -> float:
     interpolated between samples. Raises NoCrossing for traces that end on
     their starting side (never left the starting well).
     """
+    import numpy as np
+
     psi = trace.psi
     t = trace.time
     # Destination well: side of the last sample well clear of the barrier top

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so that `import hcmkit`
+# and the CLI commands that build none skip its import.
 
 from .errors import ConfigError, NonFinite
 
@@ -138,6 +139,8 @@ def cruise_speed(w: Waveform, hydro: HydroFit, T: float, body_length: float) -> 
     The Riccati dynamics have the exact solution
     v(t) = v_steady * tanh(t * sqrt(thrust * k_drag) / mass).
     """
+    import numpy as np
+
     msr = mean_square_tip_rate(w)
     thrust = hydro.k_thrust * msr
     v_steady = steady_speed(hydro, msr)

@@ -15,16 +15,18 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_python(args, cwd=None):
+def run_python(args, cwd=None, env=None):
     """Run a Python subprocess that imports this checkout's src first; returns
-    CompletedProcess with text output."""
+    CompletedProcess with text output. env overrides the inherited variables;
+    a None value drops one."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    child = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={k: v for k, v in child.items() if v is not None},
         timeout=600,
     )
 
@@ -96,9 +98,9 @@ def gradient_check(
     return worst
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, env=None):
     """Run this checkout's CLI in a subprocess; returns CompletedProcess with text output."""
-    return run_python(["-m", "hcmkit.cli", *args], cwd=cwd)
+    return run_python(["-m", "hcmkit.cli", *args], cwd=cwd, env=env)
 
 
 @pytest.fixture(scope="session")

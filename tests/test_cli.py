@@ -1,10 +1,13 @@
+import datetime
+import hashlib
 import json
+import re
 
 import pytest
 
 from hcmkit import cli, oracle
 
-from conftest import CONFIGS, GOLDEN, run_cli, run_python
+from conftest import CONFIGS, GOLDEN, ROOT, run_cli, run_python
 
 PNEU = str(CONFIGS / "pneumatic.json")
 MONO = str(CONFIGS / "monostable.json")
@@ -152,6 +155,50 @@ def test_swim_trace(tmp_path):
     lines = (tmp_path / "swim_sinusoid.csv").read_text().strip().split("\n")
     assert lines[0] == "time_s,v_m_s"
     assert lines[1] == "0.0,0.0"
+
+
+# OPENBLAS_NUM_THREADS for a child: 1, or dropped with the other thread-count
+# variables so that OpenBLAS uses every core.
+BLAS_ENVS = {
+    "blas1": {"OPENBLAS_NUM_THREADS": "1"},
+    "blas_default": dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")),
+}
+ARRAY_COMMANDS = {
+    "snap_air": ["snap", "--medium", "air"],
+    "snap_water": ["snap", "--medium", "water"],
+    "swim_sinusoid": ["swim", "--waveform", "sinusoid"],
+    "swim_bistable": ["swim", "--waveform", "bistable"],
+}
+
+
+@pytest.mark.parametrize("blas", BLAS_ENVS)
+@pytest.mark.parametrize("name", ARRAY_COMMANDS)
+def test_array_outputs_match_golden(tmp_path, name, blas):
+    # stdout byte for byte; the CSV (up to 255 kB) by its SHA-256 in csv.sha256
+    res = run_cli([*ARRAY_COMMANDS[name], "--config", PNEU, "--out", str(tmp_path)],
+                  env=BLAS_ENVS[blas])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / f"{name}.json").read_text()
+    digests = {f: d for d, f in map(str.split, (GOLDEN / "csv.sha256").read_text().splitlines())}
+    assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digests[f"{name}.csv"]
+
+
+@pytest.mark.parametrize("blas", BLAS_ENVS)
+def test_calibrate_matches_golden_but_for_its_date(tmp_path, blas):
+    # `created` is the day the calibration was made; every other byte is frozen
+    days = {datetime.date.today().isoformat()}
+    res = run_cli(["calibrate", "--config", PNEU, "--psi-l-deg", "39", "--out", str(tmp_path)],
+                  env=BLAS_ENVS[blas])
+    days.add(datetime.date.today().isoformat())
+    assert res.returncode == 0, res.stderr
+    for text, name in ((res.stdout, "calibrate.json"),
+                       ((tmp_path / "calibration.json").read_text(), "calibration.json")):
+        created = json.loads(text)["created"]
+        assert created in days
+        golden, n = re.subn(r'"created": "[^"]*"', f'"created": "{created}"',
+                            (GOLDEN / name).read_text())
+        assert n == 1
+        assert text == golden
 
 
 def test_swim_without_hydro_reference_exits_2(tmp_path):
@@ -303,7 +350,7 @@ def test_cli_import_leaves_out_scipy_optimize():
 
 
 def test_cli_leaves_out_scipy_except_for_the_oracle(tmp_path):
-    # every subcommand but oracle runs on numpy alone; scipy costs about 0.5 s to import
+    # every subcommand but oracle runs without scipy, which costs about 0.5 s to import
     script = (
         "import json, sys; from hcmkit import cli; cfg, out = sys.argv[1:]; "
         "codes = [cli.main(a) for a in ("
@@ -322,22 +369,62 @@ def test_cli_leaves_out_scipy_except_for_the_oracle(tmp_path):
     assert scipy_modules == []
 
 
-def test_analyze_is_independent_of_blas_threads():
-    # the default child drops every thread-count variable, so OpenBLAS uses all cores
+def test_array_free_commands_leave_out_numpy(tmp_path):
+    # only snap, swim --waveform and oracle build arrays; the rest start without
+    # numpy, which is most of a short command's wall time
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"geometry": {"L1_mm": 1.0}}')
     script = (
-        "import os, sys; {}; "
+        "import json, sys; from hcmkit import cli; cfg, mono, bad, out = sys.argv[1:]; "
+        "codes = [cli.main(a) for a in ("
+        "['analyze', '--config', cfg], "
+        "['sweep', '--config', cfg, '--theta=-10:10:10', '--gamma=4:8:2', '--out', out], "
+        "['plot', '--sweep-csv', out + '/sweep.csv', '--out', out], "
+        "['calibrate', '--config', cfg, '--psi-l-deg', '39', '--out', out], "
+        "['swim', '--config', cfg, '--compare'], "
+        "['swim', '--fig6', '--out', out], "
+        "['analyze', '--config', bad], "
+        "['sweep', '--config', cfg, '--theta=0:10', '--gamma=4:8:2', '--out', out], "
+        "['snap', '--config', mono, '--out', out])]; "
+        "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'numpy']]))"
+    )
+    res = run_python(["-c", script, PNEU, MONO, str(bad), str(tmp_path)])
+    assert res.returncode == 0, res.stderr
+    codes, numpy_modules = json.loads(res.stdout.strip().split("\n")[-1])
+    assert codes == [0] * 6 + [2, 2, 3]
+    assert numpy_modules == []
+    res = run_python(["-c", "import sys, hcmkit; print('numpy' in sys.modules)"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_cli_import_loads_every_layer_the_benchmark_traces():
+    # perfbench's tracer wraps each traced layer and oracle.minimize through
+    # sys.modules right after `import hcmkit.cli`; a layer imported on first
+    # use would end a traced run in a KeyError
+    script = (
+        "import json, sys; import hcmkit.cli; loaded = set(sys.modules); "
+        "sys.path.insert(0, sys.argv[1]); import tracing; "
+        "print(json.dumps([[l for l in tracing.LAYERS if 'hcmkit.' + l not in loaded], "
+        "callable(getattr(sys.modules['hcmkit.oracle'], 'minimize', None))]))"
+    )
+    res = run_python(["-c", script, str(ROOT / "perfbench")])
+    assert res.returncode == 0, res.stderr
+    missing, minimize_resolves = json.loads(res.stdout)
+    assert missing == []
+    assert minimize_resolves
+
+
+def test_analyze_is_independent_of_blas_threads():
+    script = (
+        "import sys; "
         "from hcmkit import config, postbuckle; "
         "cfg = config.load_config(sys.argv[1]); "
         "res = postbuckle.analyze(cfg.geom, cfg.mat, postbuckle.load_calibration(), "
         "cfg.options.n_grid, cfg.options.corrected_torsion); "
         "print(repr(res.P_cr), repr(res.psi_l))"
     )
-    one = "os.environ['OPENBLAS_NUM_THREADS'] = '1'"
-    default = (
-        "[os.environ.pop(k, None) for k in "
-        "('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')]"
-    )
-    outs = [run_python(["-c", script.format(setup), PNEU]) for setup in (one, default)]
+    outs = [run_python(["-c", script, PNEU], env=env) for env in BLAS_ENVS.values()]
     for res in outs:
         assert res.returncode == 0, res.stderr
     assert outs[0].stdout == outs[1].stdout

@@ -277,8 +277,22 @@ def test_log_uniform_designs_exit_2_or_print_positive_finite_scales(data):
          {"E_GPa": 1e290, "nu": 0.35, "rho_kg_m3": 1e-8}, ["analyze"], "geometry.L1_mm"),
         # a sweep cell whose blank length squared overflows
         ({}, "plastic", ["sweep", "--theta=-3:-3:1", "--gamma=1e200:1e200:1"], "gamma_s=1e+200"),
+        # MU*G*J*E underflows to 0 before I_eta multiplies it; GJ and EI_eta are in range
+        ({"h_mm": 2000, "t_mm": 1000}, {"E_GPa": 1e-209, "nu": 0.35, "rho_kg_m3": 1200},
+         ["analyze"], "options.corrected_torsion give a buckling product"),
+        # the same product on a mono-stable design, which computes no P_cr
+        ({"gamma_s": 2.0, "theta_deg": -35.0, "h_mm": 2000, "t_mm": 1000},
+         {"E_GPa": 1e-209, "nu": 0.35, "rho_kg_m3": 1200}, ["analyze"], "buckling product"),
+        # U_barr*L1 underflows at theta 30 deg while every design-wide scale is in range
+        ({"L1_mm": 1e-150, "gamma_s": 1e200, "theta_deg": 30},
+         {"E_GPa": 1e-135, "nu": 0.35, "rho_kg_m3": 1200},
+         ["analyze"], "geometry.theta_deg, geometry.h_mm"),
+        ({"L1_mm": 1e-150, "gamma_s": 1e200}, {"E_GPa": 1e-135, "nu": 0.35, "rho_kg_m3": 1200},
+         ["sweep", "--theta=30:30:1", "--gamma=1e200:1e200:1"], "gamma_s=1e+200: fields"),
     ],
-    ids=["t_star_divides_by_zero", "t_star_underflows", "sweep_cell_overflows"],
+    ids=["t_star_divides_by_zero", "t_star_underflows", "sweep_cell_overflows",
+         "buckling_product_underflows", "monostable_buckling_product_underflows",
+         "u_barr_unitless_underflows", "sweep_cell_u_barr_unitless_underflows"],
 )
 def test_out_of_range_scales_exit_2_naming_fields(tmp_path, geometry, material, argv, fragment):
     payload = json.loads((CONFIGS / "pneumatic.json").read_text())

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import config, core, oracle, postbuckle, snapdyn, svgplot, swim
-from .errors import ConfigError, HcmError
+from .errors import ConfigError, EigenFailure, HcmError
 
 __all__ = ["main"]
 
@@ -32,6 +32,12 @@ MAX_SNAP_ROWS = 2400
 MAX_SWIM_ROWS = 240
 CRUISE_T = 10.0
 MAX_SWEEP_CELLS = 100_000
+# The config fields that P_cr and U_barr_unitless read. Each can leave the
+# float range where every design-wide scale of config.SCALES is in range.
+DESIGN_FIELDS = (
+    "geometry.L1_mm, geometry.gamma_s, geometry.theta_deg, geometry.h_mm, "
+    "geometry.t_mm, material.E_GPa, material.nu and options.corrected_torsion"
+)
 
 
 def _round12(obj):
@@ -103,12 +109,15 @@ def _load_calibration(args):
 
 def _analyze(cfg: config.ParsedConfig, calib, geom=None) -> postbuckle.HcmAnalysis:
     """postbuckle.analyze of the config's design, or of geom in its place."""
-    return postbuckle.analyze(
-        cfg.geom if geom is None else geom,
-        cfg.mat,
-        postbuckle.UNCALIBRATED if calib is None else calib,  # None: the raw integral
-        corrected_torsion=cfg.options.corrected_torsion,
-    )
+    try:
+        return postbuckle.analyze(
+            cfg.geom if geom is None else geom,
+            cfg.mat,
+            postbuckle.UNCALIBRATED if calib is None else calib,  # None: the raw integral
+            corrected_torsion=cfg.options.corrected_torsion,
+        )
+    except EigenFailure as exc:
+        raise ConfigError(f"fields {DESIGN_FIELDS} give a P_cr out of the float range: {exc}")
 
 
 def _analysis_record(cfg: config.ParsedConfig, calib, geom=None) -> dict:
@@ -133,12 +142,10 @@ def _analysis_record(cfg: config.ParsedConfig, calib, geom=None) -> dict:
             U_barr_J=res.U_barr,
             U_barr_unitless=res.U_barr_unitless,
         )
-        # U_barr*L1 can underflow where each design-wide scale is in range
         if not 0.0 < res.U_barr_unitless < math.inf:
             raise ConfigError(
-                "fields geometry.L1_mm, geometry.gamma_s, geometry.theta_deg, geometry.h_mm, "
-                "geometry.t_mm, material.E_GPa, material.nu and options.corrected_torsion give a "
-                f"U_barr_unitless of {res.U_barr_unitless!r}, out of the float range"
+                f"fields {DESIGN_FIELDS} give a U_barr_unitless of "
+                f"{res.U_barr_unitless!r}, out of the float range"
             )
     return record
 

@@ -416,15 +416,9 @@ def test_cli_import_loads_every_layer_the_benchmark_traces():
 
 
 def test_analyze_is_independent_of_blas_threads():
-    script = (
-        "import sys; "
-        "from hcmkit import config, postbuckle; "
-        "cfg = config.load_config(sys.argv[1]); "
-        "res = postbuckle.analyze(cfg.geom, cfg.mat, postbuckle.load_calibration(), "
-        "cfg.options.n_grid, cfg.options.corrected_torsion); "
-        "print(repr(res.P_cr), repr(res.psi_l))"
-    )
-    outs = [run_python(["-c", script, PNEU], env=env) for env in BLAS_ENVS.values()]
+    # the oracle's link frames are batched 3x3 matrix products
+    outs = [run_cli(["oracle", "--config", PNEU, "--format", "csv", "--n-links", "20"], env=env)
+            for env in BLAS_ENVS.values()]
     for res in outs:
         assert res.returncode == 0, res.stderr
     assert outs[0].stdout == outs[1].stdout

@@ -266,6 +266,15 @@ def test_log_uniform_designs_exit_2_or_print_positive_finite_scales(data):
                 assert val is None or 0.0 < val < math.inf, (argv, key, val, payload)
 
 
+_P_CR_UNDERFLOWS = {
+    "geometry": {"L1_mm": 5.632226714721765e94, "gamma_s": 1.0000001504624028,
+                 "theta_deg": 22.33296255270014, "h_mm": 1.2489201527719482e-10,
+                 "t_mm": 3.6955487635337503e-14},
+    "material": {"E_GPa": 1.6703262959361052e-89, "nu": 0.025328397031150265,
+                 "rho_kg_m3": 1.3863807177778084e-26},
+}
+
+
 @pytest.mark.parametrize(
     "geometry,material,argv,fragment",
     [
@@ -289,10 +298,17 @@ def test_log_uniform_designs_exit_2_or_print_positive_finite_scales(data):
          ["analyze"], "geometry.theta_deg, geometry.h_mm"),
         ({"L1_mm": 1e-150, "gamma_s": 1e200}, {"E_GPa": 1e-135, "nu": 0.35, "rho_kg_m3": 1200},
          ["sweep", "--theta=30:30:1", "--gamma=1e200:1e200:1"], "gamma_s=1e+200: fields"),
+        # root/(l*A_ini) underflows to P_cr = 0 while every design-wide scale is in range
+        (_P_CR_UNDERFLOWS["geometry"], _P_CR_UNDERFLOWS["material"],
+         ["analyze"], "options.corrected_torsion give a P_cr"),
+        (_P_CR_UNDERFLOWS["geometry"], _P_CR_UNDERFLOWS["material"],
+         ["sweep", "--theta=22.33296255270014:22.33296255270014:1",
+          "--gamma=1.0000001504624028:1.0000001504624028:1"], "gamma_s=1.0000001505: fields"),
     ],
     ids=["t_star_divides_by_zero", "t_star_underflows", "sweep_cell_overflows",
          "buckling_product_underflows", "monostable_buckling_product_underflows",
-         "u_barr_unitless_underflows", "sweep_cell_u_barr_unitless_underflows"],
+         "u_barr_unitless_underflows", "sweep_cell_u_barr_unitless_underflows",
+         "p_cr_underflows", "sweep_cell_p_cr_underflows"],
 )
 def test_out_of_range_scales_exit_2_naming_fields(tmp_path, geometry, material, argv, fragment):
     payload = json.loads((CONFIGS / "pneumatic.json").read_text())

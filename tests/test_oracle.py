@@ -112,15 +112,14 @@ def test_gradient_matches_finite_differences(pneumatic_ribbon):
     assert gradient_check(pneumatic_ribbon) < 1e-5
 
 
-@pytest.mark.parametrize("n_links", [20, 60])
-def test_fk_matches_euler_chain(pneumatic_geom, plastic, n_links):
+@pytest.mark.parametrize("n_links", [20, 60, oracle.MAX_LINKS])
+def test_fk_matches_euler_chain(n_links):
     # reference: each joint's intrinsic z-y'-x'' rotation from scipy, chained link by link
     from scipy.spatial.transform import Rotation
 
-    ribbon = oracle.build_discrete(pneumatic_geom, plastic, n_links)
     m = n_links - 1
     q = np.random.default_rng(n_links).uniform(-math.pi, math.pi, 3 * m)
-    R, x, y = oracle._fk(ribbon, q)
+    R, x, y = oracle._fk(q)
     R_ref = [np.eye(3)]
     y_ref = []
     for j in range(m):

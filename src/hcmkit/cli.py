@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import config, core, oracle, postbuckle, snapdyn, svgplot, swim
-from .errors import ConfigError, EigenFailure, HcmError
+from .errors import ConfigError, EigenFailure, HcmError, NonFinite
 
 __all__ = ["main"]
 
@@ -107,6 +107,10 @@ def _load_calibration(args):
     return postbuckle.load_calibration()
 
 
+def _p_cr_out_of_range(exc: EigenFailure) -> ConfigError:
+    return ConfigError(f"fields {DESIGN_FIELDS} give a P_cr out of the float range: {exc}")
+
+
 def _analyze(cfg: config.ParsedConfig, calib, geom=None) -> postbuckle.HcmAnalysis:
     """postbuckle.analyze of the config's design, or of geom in its place."""
     try:
@@ -117,7 +121,7 @@ def _analyze(cfg: config.ParsedConfig, calib, geom=None) -> postbuckle.HcmAnalys
             corrected_torsion=cfg.options.corrected_torsion,
         )
     except EigenFailure as exc:
-        raise ConfigError(f"fields {DESIGN_FIELDS} give a P_cr out of the float range: {exc}")
+        raise _p_cr_out_of_range(exc)
 
 
 def _analysis_record(cfg: config.ParsedConfig, calib, geom=None) -> dict:
@@ -246,6 +250,13 @@ def cmd_snap(args) -> int:
         I_eff=snapdyn.effective_inertia(cfg.geom, cfg.mat),
         zeta=zeta,
     )
+    try:
+        snapdyn._omega_well(well)
+    except NonFinite as exc:
+        raise ConfigError(
+            f"fields {DESIGN_FIELDS}, with material.rho_kg_m3, give a well frequency "
+            f"out of the float range: {exc}"
+        )
     trace = snapdyn.triggered_snap(well)
     duration = snapdyn.snap_duration(trace, well.psi_eq)
     stride = _decimate(len(trace.time), MAX_SNAP_ROWS)
@@ -396,9 +407,12 @@ def cmd_calibrate(args) -> int:
     cfg = _require_config(args)
     if args.psi_l_deg <= 0:
         raise ConfigError("--psi-l-deg must be positive")
-    calib = postbuckle.calibrate(
-        cfg.geom, cfg.mat, math.radians(args.psi_l_deg), cfg.options.corrected_torsion
-    )
+    try:
+        calib = postbuckle.calibrate(
+            cfg.geom, cfg.mat, math.radians(args.psi_l_deg), cfg.options.corrected_torsion
+        )
+    except EigenFailure as exc:
+        raise _p_cr_out_of_range(exc)
     path = os.path.join(_out_dir(args.out), "calibration.json")
     postbuckle.save_calibration(calib, path)
     _emit_json(

@@ -16,10 +16,10 @@ and every trace is its unit solution scaled to the design. A triggered snap
 starts from the same unit state for every design, so its unit solution
 depends on zeta alone; those of the preset damping ratios are kept.
 
-A damped solution settles in a well, where the float64 RK4 step ends up
-mapping the state onto itself exactly. The kernel stops there and copies that
-state into the remaining samples, which is what the further steps would have
-computed; an undamped or lightly damped snap runs every step.
+A trace is one (5, n+1) block of time, psi, psi_dot, kinetic and potential
+energy. A damped solution settles in a well, where the float64 RK4 step maps
+the state onto itself exactly; the kernel stops there and that state is
+broadcast over the remaining samples, as the further steps would compute it.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ __all__ = [
 # (17 ms in air vs 50 ms in water); 0.5 puts the ratio just under 2.
 DAMPING_PRESETS = {"air": 0.05, "water": 0.8}
 
-# Most RK4 steps simulate_snap takes: a trace holds five float64 arrays of
-# steps + 1 samples, 40 MB at this cap. A triggered snap takes 240,000.
+# Most RK4 steps simulate_snap takes: a trace is a (5, steps + 1) float64
+# block, 40 MB at this cap. A triggered snap takes 240,000 (9.6 MB).
 MAX_SNAP_STEPS = 1_000_000
 
 
@@ -82,22 +82,15 @@ def effective_inertia(geom: RibbonGeometry, mat: Material) -> float:
     return mat.rho * geom.h * geom.t * l**3 / 3.0
 
 
-def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
-    """n fixed RK4 steps of ds on x'' = 0.5*x*(1 - x^2) - 2*zeta*x' from (x0, v0).
+def _rk4(zeta: float, x0: float, v0: float, ds: float, x: np.ndarray, v: np.ndarray) -> int:
+    """RK4 steps of ds on x'' = 0.5*x*(1 - x^2) - 2*zeta*x' from (x0, v0), into the rows x, x'.
 
-    Returns the n+1 samples of x and x' as float64 arrays.
-
-    The loop stops at the first step that maps the state onto itself
-    (x and x' both unchanged) and fills the remaining samples with that
-    state. The step is a pure function of (x, x'), so every later step would
-    return the same state again: the samples equal those of the full loop.
-    A damped snap reaches such a state in its well; a NaN state never
-    compares equal, so an overflow still runs to the last sample.
+    Returns the number m of samples written. The loop stops at the first step
+    that maps the state onto itself (x and x' both unchanged): the step is a
+    pure function of (x, x'), so every later sample of the full loop would
+    equal sample m - 1. A damped snap reaches such a state in its well; a NaN
+    state never compares equal, so an overflow runs to m = x.size.
     """
-    import numpy as np
-
-    x = np.empty(n + 1)
-    v = np.empty(n + 1)
     xs = memoryview(x)
     vs = memoryview(v)
     xs[0] = p = x0
@@ -105,7 +98,7 @@ def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
     c = 2.0 * zeta
     h = 0.5 * ds
     w = ds / 6.0
-    for i in range(1, n + 1):
+    for i in range(1, len(xs)):
         a1 = 0.5 * p * (1.0 - p * p) - c * q
         p2 = p + h * q
         q2 = q + h * a1
@@ -121,12 +114,10 @@ def _rk4(zeta: float, x0: float, v0: float, ds: float, n: int):
         xs[i] = pn
         vs[i] = qn
         if pn == p and qn == q:
-            x[i + 1 :] = pn
-            v[i + 1 :] = qn
-            break
+            return i + 1
         p = pn
         q = qn
-    return x, v
+    return len(xs)
 
 
 def _omega_well(well: DoubleWell) -> float:
@@ -140,22 +131,25 @@ def _omega_well(well: DoubleWell) -> float:
     return omega
 
 
-def _scaled_trace(well: DoubleWell, x: np.ndarray, v: np.ndarray, dt: float) -> SnapTrace:
-    """SnapTrace of the unit solution (x, x') sampled every dt seconds.
+def _scaled_trace(well: DoubleWell, block: np.ndarray, m: int, dt: float) -> SnapTrace:
+    """SnapTrace of the (5, n+1) block whose rows 1 and 2 hold the unit solution
+    (x, x') in their first m samples, sampled every dt seconds.
 
-    psi and psi_dot are written over x and v unless those are read-only.
-    Raises NonFinite on overflow and, for zeta = 0, StepTooLarge if the total
-    energy drifts more than 5% of U_barr.
+    Fills the block in place with time, psi, psi_dot and the kinetic and
+    potential energies: the first m samples scaled, sample m - 1 copied over
+    the rest. Raises NonFinite on overflow and, for zeta = 0, StepTooLarge if
+    the total energy drifts more than 5% of U_barr.
     """
     import numpy as np
 
+    _, x, v, kinetic, potential = block[:, :m]
     if not (math.isfinite(x[-1]) and math.isfinite(v[-1])):
         raise NonFinite("snap integration overflowed; reduce dt")
     U = well.U_barr
     # 0.5*I_eff*psi_dot^2 = 4*U_barr*v^2, since I_eff*omega^2*psi_eq^2 = 8*U_barr.
-    kinetic = np.square(v)
+    np.square(v, out=kinetic)
     kinetic *= 4.0 * U
-    potential = np.square(x)
+    np.square(x, out=potential)
     potential -= 1.0
     np.square(potential, out=potential)
     potential *= U
@@ -164,12 +158,11 @@ def _scaled_trace(well: DoubleWell, x: np.ndarray, v: np.ndarray, dt: float) -> 
         drift = np.max(np.abs(energy - energy[0]))
         if drift > 0.05 * U:
             raise StepTooLarge(f"undamped energy drift {drift / U:.3g} of U_barr exceeds 5%")
-    omega = well.omega_well
-    psi = np.multiply(x, well.psi_eq, out=x if x.flags.writeable else None)
-    psi_dot = np.multiply(v, omega * well.psi_eq, out=v if v.flags.writeable else None)
-    time = np.arange(x.size, dtype=np.float64)
-    time *= dt
-    return SnapTrace(time=time, psi=psi, psi_dot=psi_dot, kinetic=kinetic, potential=potential)
+    x *= well.psi_eq
+    v *= well.omega_well * well.psi_eq
+    block[1:, m:] = block[1:, m - 1 : m]
+    np.multiply(np.arange(block.shape[1], dtype=np.float64), dt, out=block[0])
+    return SnapTrace(*block)
 
 
 def simulate_snap(
@@ -185,6 +178,8 @@ def simulate_snap(
     that is not positive and finite, a T that is not finite, or more than
     MAX_SNAP_STEPS steps.
     """
+    import numpy as np
+
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(T):
@@ -197,8 +192,10 @@ def simulate_snap(
     if n < 10:
         raise ValueError("T must cover at least 10 steps")
     omega = _omega_well(well)
-    x, v = _rk4(well.zeta, psi0 / well.psi_eq, psi_dot0 / (omega * well.psi_eq), omega * dt, n)
-    return _scaled_trace(well, x, v, dt)
+    block = np.empty((5, n + 1))
+    x0, v0 = psi0 / well.psi_eq, psi_dot0 / (omega * well.psi_eq)
+    m = _rk4(well.zeta, x0, v0, omega * dt, *block[1:3])
+    return _scaled_trace(well, block, m, dt)
 
 
 def _first_crossing(psi: np.ndarray, level: float) -> int:
@@ -260,10 +257,11 @@ _UNIT_STEPS = 240_000
 # |lambda*ds| = 2.785.
 MAX_ZETA = 2.785 / (2.0 * _UNIT_DS)
 
-# Read-only unit snaps (x, x') of the preset damping ratios, filled on first
-# use. Its keys are DAMPING_PRESETS' values, so it holds at most two entries
-# (7.7 MB); every other zeta is integrated on each call.
-_PRESET_SNAPS: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+# Read-only (2, m) unit snaps (x, x') of the preset damping ratios up to the
+# kernel's fixed point, filled on first use. Its keys are DAMPING_PRESETS'
+# values (4.2 MB: air never settles, water after 24,809 samples); every other
+# zeta is integrated on each call.
+_PRESET_SNAPS: dict[float, np.ndarray] = {}
 
 
 def triggered_snap(well: DoubleWell) -> SnapTrace:
@@ -281,12 +279,17 @@ def triggered_snap(well: DoubleWell) -> SnapTrace:
     and scaled to the design. Raises NonFinite if omega_well is not positive
     and finite.
     """
+    import numpy as np
+
     omega = _omega_well(well)
+    block = np.empty((5, _UNIT_STEPS + 1))
     xv = _PRESET_SNAPS.get(well.zeta)
     if xv is None:
-        xv = _rk4(well.zeta, _UNIT_X0, _UNIT_V0, _UNIT_DS, _UNIT_STEPS)
+        m = _rk4(well.zeta, _UNIT_X0, _UNIT_V0, _UNIT_DS, *block[1:3])
         if well.zeta in DAMPING_PRESETS.values():
-            for a in xv:
-                a.flags.writeable = False
-            _PRESET_SNAPS[well.zeta] = xv
-    return _scaled_trace(well, *xv, _UNIT_DS / omega)
+            _PRESET_SNAPS[well.zeta] = xv = block[1:3, :m].copy()
+            xv.flags.writeable = False
+    else:
+        m = xv.shape[1]
+        block[1:3, :m] = xv
+    return _scaled_trace(well, block, m, _UNIT_DS / omega)

@@ -127,14 +127,33 @@ def test_snap_damping_above_the_stable_limit_exits_2(tmp_path):
     assert not (tmp_path / "snap_water.csv").exists()
 
 
-def test_snap_overflowing_well_frequency_exits_3(tmp_path):
-    # L1 = 1e-100 mm passes the config checks, but omega_well overflows to inf
+# Designs that analyze accepts but whose well frequency
+# omega_well = sqrt(8*U_barr/(I_eff*psi_eq^2)) leaves the float range.
+@pytest.mark.parametrize(
+    "geometry,material",
+    [
+        # L1 = 1e-100 mm overflows omega_well to inf
+        ({"L1_mm": 1e-100}, None),
+        # omega_well underflows to 0
+        ({"L1_mm": 2.0754390150589178e-59, "gamma_s": 5.038725205784724e93,
+          "theta_deg": 42.03194478157786, "h_mm": 1.521382492818126e-19,
+          "t_mm": 2.0174847061239748e-30},
+         {"E_GPa": 1.6317212313296231e25, "nu": 0.4072936735615389,
+          "rho_kg_m3": 3.039721026170083e220}),
+    ],
+    ids=["overflows", "underflows"],
+)
+def test_snap_out_of_range_well_frequency_exits_2_naming_fields(tmp_path, geometry, material):
     payload = json.loads((CONFIGS / "pneumatic.json").read_text())
-    payload["geometry"]["L1_mm"] = 1e-100
-    p = tmp_path / "tiny.json"
+    payload["geometry"].update(geometry)
+    if material is not None:
+        payload["material"] = material
+    p = tmp_path / "design.json"
     p.write_text(json.dumps(payload))
+    assert run_cli(["analyze", "--config", str(p)]).returncode == 0
     res = run_cli(["snap", "--config", str(p), "--out", str(tmp_path)])
-    assert res.returncode == 3, res.stdout
+    assert res.returncode == 2, res.stdout
+    assert cli.DESIGN_FIELDS in res.stderr and "material.rho_kg_m3" in res.stderr
     assert "omega_well" in res.stderr and "internal error" not in res.stderr
     assert not (tmp_path / "snap_air.csv").exists()
 

@@ -250,6 +250,7 @@ def test_log_uniform_designs_exit_2_or_print_positive_finite_scales(data):
             ["sweep", f"--theta={theta!r}:{theta!r}:1", f"--gamma={gamma!r}:{gamma!r}:1"],
             ["snap"],
             ["swim", "--compare"],
+            ["calibrate", "--psi-l-deg", "39"],
         ):
             code, out, err = _run_in_process([*argv, "--config", path, "--out", tmp])
             assert code in (0, 2, 3), (argv, payload, err)
@@ -304,11 +305,13 @@ _P_CR_UNDERFLOWS = {
         (_P_CR_UNDERFLOWS["geometry"], _P_CR_UNDERFLOWS["material"],
          ["sweep", "--theta=22.33296255270014:22.33296255270014:1",
           "--gamma=1.0000001504624028:1.0000001504624028:1"], "gamma_s=1.0000001505: fields"),
+        (_P_CR_UNDERFLOWS["geometry"], _P_CR_UNDERFLOWS["material"],
+         ["calibrate", "--psi-l-deg", "40"], "options.corrected_torsion give a P_cr"),
     ],
     ids=["t_star_divides_by_zero", "t_star_underflows", "sweep_cell_overflows",
          "buckling_product_underflows", "monostable_buckling_product_underflows",
          "u_barr_unitless_underflows", "sweep_cell_u_barr_unitless_underflows",
-         "p_cr_underflows", "sweep_cell_p_cr_underflows"],
+         "p_cr_underflows", "sweep_cell_p_cr_underflows", "calibrate_p_cr_underflows"],
 )
 def test_out_of_range_scales_exit_2_naming_fields(tmp_path, geometry, material, argv, fragment):
     payload = json.loads((CONFIGS / "pneumatic.json").read_text())

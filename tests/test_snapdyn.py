@@ -58,8 +58,9 @@ def test_well_shape(pneumatic_well):
     # damped, so _scaled_trace applies no energy-drift check to these static states
     well = pneumatic_well(0.05)
     eps = 1e-4
-    x = np.array([-1.0, 0.0, 1.0, 1.0 - eps, 1.0 + eps])
-    U = snapdyn._scaled_trace(well, x.copy(), np.zeros(x.size), 1.0).potential
+    block = np.zeros((5, 5))
+    block[1] = [-1.0, 0.0, 1.0, 1.0 - eps, 1.0 + eps]
+    U = snapdyn._scaled_trace(well, block, 5, 1.0).potential
     # quartic double well: zero at both minima, U_barr at psi = 0
     assert U[0] == 0.0 and U[2] == 0.0
     assert abs(U[1] - well.U_barr) < 1e-18
@@ -219,6 +220,8 @@ def test_preset_memo_holds_only_the_presets(pneumatic_well):
     assert len(memo) <= 2
     assert set(memo) <= set(snapdyn.DAMPING_PRESETS.values())
     assert not any(a.flags.writeable for xv in memo.values() for a in xv)
+    # water settles, so only the samples up to the kernel's fixed point are kept
+    assert memo[snapdyn.DAMPING_PRESETS["water"]].shape[1] < snapdyn._UNIT_STEPS + 1
 
 
 def test_crossings_match_the_product_form(pneumatic_well):
@@ -256,7 +259,19 @@ def test_transit_factor_is_tau_over_omega_t_star(pneumatic_geom, plastic, pneuma
 
 
 # The kernel stops at the first state its step maps onto itself. Everything
-# after that is a copy of the state, so the trace must equal the full loop's.
+# after that is a copy of the state, so the trace must equal the full loop's
+# bit for bit.
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _unit_rk4(zeta, x0, v0, ds, n):
+    """The m samples of x and x' that snapdyn._rk4 computes in rows of n + 1."""
+    x, v = np.empty((2, n + 1))
+    m = snapdyn._rk4(zeta, x0, v0, ds, x, v)
+    return x[:m], v[:m]
 
 
 def _rk4_full(zeta, x0, v0, ds, n):
@@ -293,10 +308,37 @@ _UNIT = (snapdyn._UNIT_X0, snapdyn._UNIT_V0, snapdyn._UNIT_DS, snapdyn._UNIT_STE
 # and decays x' through the subnormals, the others stop early.
 @pytest.mark.parametrize("zeta", [0.02, 0.05, 0.2, 0.390749, 0.8, 1.5])
 def test_unit_snap_equals_the_full_loop(zeta):
-    x, v = snapdyn._rk4(zeta, *_UNIT)
+    x, v = _unit_rk4(zeta, *_UNIT)
     x_ref, v_ref = _rk4_full(zeta, *_UNIT)
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(v, v_ref)
+    m = x.size
+    assert _same_bits(x, x_ref[:m]) and _same_bits(v, v_ref[:m])
+    assert _same_bits(x_ref[m:], np.full(x_ref.size - m, x[-1]))
+    assert _same_bits(v_ref[m:], np.full(v_ref.size - m, v[-1]))
+
+
+def _scaled_the_old_way(well, x, v, dt):
+    """time, psi, psi_dot, kinetic and potential of the full unit samples, one array each."""
+    return (
+        np.arange(x.size, dtype=np.float64) * dt,
+        x * well.psi_eq,
+        v * (well.omega_well * well.psi_eq),
+        np.square(v) * (4.0 * well.U_barr),
+        np.square(np.square(x) - 1.0) * well.U_barr,
+    )
+
+
+# the air preset never settles, the water preset and the fresh 0.3 do
+@pytest.mark.parametrize("zeta", [0.05, 0.8, 0.3])
+def test_triggered_snap_equals_the_full_loop_scaled(pneumatic_well, zeta):
+    well = pneumatic_well(zeta)
+    x_ref, v_ref = _rk4_full(zeta, *_UNIT)
+    ref = _scaled_the_old_way(well, x_ref, v_ref, snapdyn._UNIT_DS / well.omega_well)
+    snapdyn._PRESET_SNAPS.pop(zeta, None)
+    # a preset's first call integrates and keeps its unit snap, the second reads it back
+    for _ in range(2):
+        tr = snapdyn.triggered_snap(well)
+        for name, series in zip(("time", "psi", "psi_dot", "kinetic", "potential"), ref):
+            assert _same_bits(getattr(tr, name), series), name
 
 
 def test_undamped_simulate_snap_equals_the_full_loop():
@@ -320,15 +362,15 @@ def _best_time(fn, *args, repeat=2):
 
 def test_settled_snap_stops_at_its_fixed_point():
     x0, v0, ds, n = _UNIT
-    # water settles within a tenth of the horizon; air at 0.05 never does
-    t_long, (x, v) = _best_time(snapdyn._rk4, 0.8, x0, v0, ds, 5 * n)
-    t_air, _ = _best_time(snapdyn._rk4, 0.05, x0, v0, ds, n)
+    # water settles after about a tenth of the horizon; air at 0.05 never does
+    t_long, (x, v) = _best_time(_unit_rk4, 0.8, x0, v0, ds, 5 * n)
+    t_air, (x_air, _) = _best_time(_unit_rk4, 0.05, x0, v0, ds, n)
     assert t_long < t_air
+    assert x.size < n + 1 and x_air.size == n + 1
     assert math.isfinite(x[-1]) and math.isfinite(v[-1])
     assert abs(x[-1] - 1.0) < 1e-12
-    assert np.all(x[n:] == x[-1]) and np.all(v[n:] == v[-1])
-    x_short, v_short = snapdyn._rk4(0.8, x0, v0, ds, n)
-    assert np.array_equal(x[: n + 1], x_short) and np.array_equal(v[: n + 1], v_short)
+    x_short, v_short = _unit_rk4(0.8, x0, v0, ds, n)
+    assert _same_bits(x, x_short) and _same_bits(v, v_short)
 
 
 def test_overflowing_snap_still_raises():
